@@ -5,8 +5,8 @@ use crate::policy::Policy;
 use mph_ccpipe::{batch_cost, BatchCost, BatchOrder, Machine, PlannedJob};
 use mph_core::CommPlan;
 use mph_eigen::{
-    choose_tail_qs, lower_job, packetization_cap, run_job_batch_planned_traced, JobResult, JobSpan,
-    JobSpec,
+    choose_tail_qs, lower_job, packetization_cap, run_job_batch, AdaptiveReport, JobResult,
+    JobSpan, JobSpec,
 };
 use mph_runtime::{FabricConfigError, FabricModel, FabricReport, SinkHandle, TrafficMeter};
 
@@ -53,14 +53,6 @@ pub enum BatchConfigError {
     /// The fabric itself cannot be enforced (see
     /// [`mph_runtime::FabricConfigError`]).
     InvalidFabric(FabricConfigError),
-    /// The fabric is a [`FabricModel::Degraded`] scenario that schedules
-    /// link deaths. The batch driver interleaves many jobs' pre-lowered
-    /// micro-op chains over direct links and has no relay layer — only
-    /// the adaptive solo driver (`block_jacobi_threaded_adaptive` in
-    /// `mph-eigen`) routes around dead links. Jitter, episode, and
-    /// heterogeneity scenarios are fine; death schedules are rejected up
-    /// front instead of asserting inside the fabric clock mid-run.
-    DeadLinksUnsupported,
 }
 
 impl std::fmt::Display for BatchConfigError {
@@ -70,11 +62,6 @@ impl std::fmt::Display for BatchConfigError {
                 write!(f, "Policy::Interleave stride must be >= 1 (0 grants no micro-ops)")
             }
             BatchConfigError::InvalidFabric(e) => write!(f, "invalid fabric: {e}"),
-            BatchConfigError::DeadLinksUnsupported => write!(
-                f,
-                "the batch driver does not reroute around dead links; \
-                 use a death-free scenario or the adaptive solo driver"
-            ),
         }
     }
 }
@@ -90,10 +77,10 @@ impl From<FabricConfigError> for BatchConfigError {
 impl BatchOptions {
     /// Checked constructor: rejects configurations the direct struct
     /// literal would only clamp or that would assert mid-run — zero-stride
-    /// interleaving ([`BatchConfigError::ZeroStride`]), unenforceable
-    /// fabrics ([`BatchConfigError::InvalidFabric`]), and link-death
-    /// scenarios the batch driver cannot route around
-    /// ([`BatchConfigError::DeadLinksUnsupported`]).
+    /// interleaving ([`BatchConfigError::ZeroStride`]) and unenforceable
+    /// fabrics ([`BatchConfigError::InvalidFabric`]). Degraded scenarios,
+    /// link deaths included, are fine: the engine relays around dead
+    /// links.
     pub fn new(
         fabric: FabricModel,
         policy: Policy,
@@ -103,9 +90,6 @@ impl BatchOptions {
             return Err(BatchConfigError::ZeroStride);
         }
         fabric.validate()?;
-        if fabric.scenario().is_some_and(|sc| sc.has_deaths()) {
-            return Err(BatchConfigError::DeadLinksUnsupported);
-        }
         Ok(BatchOptions { fabric, policy, pricing, trace: SinkHandle::nop() })
     }
 }
@@ -141,6 +125,9 @@ pub struct BatchReport {
     pub results: Vec<JobResult>,
     /// Per-job virtual-clock spans, in submission order.
     pub spans: Vec<JobSpan>,
+    /// Per-job adaptive-layer reports (relays, recalibrations), in
+    /// submission order — all zeros on clean fabrics.
+    pub adaptive: Vec<AdaptiveReport>,
     /// The executed order (the policy's lowering).
     pub order: BatchOrder,
     /// The whole batch's measured virtual makespan (0 on a free fabric).
@@ -198,19 +185,13 @@ pub fn solve_batch(d: usize, jobs: &[Job], opts: &BatchOptions) -> BatchReport {
     let order = opts.policy.order(&planned, &machine);
     let cost = batch_cost(&planned, &machine, &order);
     // The lowering that priced the batch is the one that runs it.
-    let run = run_job_batch_planned_traced(
-        d,
-        &specs,
-        &lowered,
-        opts.fabric.clone(),
-        &order,
-        opts.trace.clone(),
-    );
+    let run = run_job_batch(d, &specs, &lowered, opts.fabric.clone(), &order, opts.trace.clone());
     let makespan = run.fabric.makespan;
     let throughput = Throughput::measure(jobs.len(), run.meter.total_volume(), makespan);
     BatchReport {
         results: run.results,
         spans: run.spans,
+        adaptive: run.adaptive,
         order,
         makespan,
         meter: run.meter,
@@ -271,7 +252,7 @@ mod tests {
     }
 
     #[test]
-    fn invalid_and_death_fabrics_are_typed_construction_errors() {
+    fn invalid_fabrics_are_typed_errors_and_deadly_ones_solve() {
         use mph_ccpipe::PortModel;
         use mph_runtime::{LinkDeath, Scenario, ScenarioSpec};
         use std::sync::Arc;
@@ -281,34 +262,46 @@ mod tests {
             .expect_err("KPort(0) cannot be enforced");
         assert_eq!(err, BatchConfigError::InvalidFabric(FabricConfigError::ZeroPorts));
         assert!(err.to_string().contains("KPort(0)"));
-        // ...a death schedule is refused (the batch driver has no relay)...
+        // ...but a death schedule is accepted and solved: every job
+        // relays around the dead edge and keeps its solo bits.
         let deadly = ScenarioSpec {
             epochs: 2,
             deaths: vec![LinkDeath { node: 0, dim: 0, epoch: 0 }],
-            ..ScenarioSpec::clean(1, Machine::paper_figure2())
+            ..ScenarioSpec::clean(1, Machine::all_port(1000.0, 100.0))
         };
         let sc = Scenario::new(2, deadly).expect("a single death keeps the 2-cube connected");
-        let err = BatchOptions::new(
+        let opts = BatchOptions::new(
             FabricModel::Degraded(Arc::new(sc)),
-            Policy::Fifo,
+            Policy::Interleave { stride: 1 },
             Machine::paper_figure2(),
         )
-        .expect_err("the batch driver cannot route around dead links");
-        assert_eq!(err, BatchConfigError::DeadLinksUnsupported);
-        assert!(err.to_string().contains("reroute"));
-        // ...but a death-free degraded scenario passes.
-        let jittery = ScenarioSpec {
-            epochs: 2,
-            hetero_spread: 1.0,
-            ..ScenarioSpec::clean(1, Machine::paper_figure2())
-        };
-        let sc = Scenario::new(2, jittery).expect("valid scenario");
-        assert!(BatchOptions::new(
-            FabricModel::Degraded(Arc::new(sc)),
-            Policy::Fifo,
-            Machine::paper_figure2(),
-        )
-        .is_ok());
+        .expect("the engine relays around dead links");
+        let jobs = mixed_jobs(16);
+        let report = solve_batch(2, &jobs, &opts);
+        assert!(report.makespan > 0.0);
+        for (i, job) in jobs.iter().enumerate() {
+            assert!(report.adaptive[i].reroutes > 0, "job {i} must relay");
+            match job {
+                Job::Eigen { a, family, opts } => {
+                    let solo = mph_eigen::block_jacobi(a, 2, *family, opts);
+                    let got = report.results[i].eigen().expect("eigen result");
+                    assert_eq!(got.rotations, solo.rotations, "job {i}");
+                    for c in 0..a.cols() {
+                        assert_eq!(got.eigenvalues[c], solo.eigenvalues[c], "job {i} λ_{c}");
+                        assert_eq!(got.eigenvectors.col(c), solo.eigenvectors.col(c));
+                    }
+                }
+                Job::Svd { a, family, opts } => {
+                    let solo = mph_eigen::svd_block(a, 2, *family, opts);
+                    let got = report.results[i].svd().expect("svd result");
+                    assert_eq!(got.rotations, solo.rotations, "job {i}");
+                    for c in 0..a.cols() {
+                        assert_eq!(got.singular_values[c], solo.singular_values[c]);
+                        assert_eq!(got.v.col(c), solo.v.col(c), "job {i} v_{c}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

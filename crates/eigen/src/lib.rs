@@ -13,10 +13,11 @@
 //!   multicomputer of `mph-runtime`, with real block messages; bitwise
 //!   equal to the logical driver for a fixed sweep count.
 //!
-//! All of them — the SVD drivers in [`svd`], the threaded SVD
-//! ([`svd_block_threaded`]), and the cooperative multi-job batch driver
-//! in [`multidrive`] (N independent eigen/SVD problems interleaved over
-//! one link fabric, each bitwise equal to its solo run) — store their
+//! The threaded drivers share one phase engine, [`multidrive`]: N
+//! independent eigen/SVD problems interleaved over one link fabric, each
+//! bitwise equal to its solo run; the solo threaded eigensolver and SVD
+//! ([`svd_block_threaded`]) are one-job batches on it. All of them — the
+//! SVD drivers in [`svd`] included — store their
 //! columns in the contiguous [`ColumnBlock`] layout of `mph-linalg` and
 //! pair through the single kernel in [`kernel`]: one rotation path, one
 //! storage layout, shared end to end.
@@ -53,10 +54,9 @@ pub use mph_linalg::block::ColumnBlock;
 pub use mph_linalg::KernelPath;
 pub use mph_runtime::{FabricModel, FabricReport};
 pub use multidrive::{
-    lower_job, run_job_batch, run_job_batch_planned, run_job_batch_planned_traced, run_job_service,
-    run_job_service_traced, svd_block_threaded, svd_block_threaded_fabric, BatchMsg, BatchRun,
-    BoundarySample, JobKind, JobOutcome, JobResult, JobSpan, JobSpec, Rejected, ServicePlan,
-    ServiceRun,
+    lower_job, run_job_batch, run_job_service, svd_block_threaded, svd_block_threaded_fabric,
+    AdaptiveReport, BatchMsg, BatchRun, BoundarySample, JobKind, JobOutcome, JobResult, JobSpan,
+    JobSpec, Rejected, ServicePlan, ServiceRun,
 };
 pub use offnorm::{diagonal, diagonal_blocks, off_norm, off_norm_blocks};
 pub use onesided::one_sided_cyclic;
@@ -64,7 +64,6 @@ pub use options::{Adaptation, EigenResult, JacobiOptions, Pipelining};
 pub use svd::{svd_block, svd_cyclic, SvdResult};
 pub use threaded::{
     block_jacobi_threaded, block_jacobi_threaded_adaptive, block_jacobi_threaded_fabric, choose_qs,
-    choose_tail_qs, lower_sweeps, lower_sweeps_with, packetization_cap, AdaptiveReport, Msg,
-    NodeOutput,
+    choose_tail_qs, lower_sweeps, lower_sweeps_with, packetization_cap,
 };
 pub use twosided::two_sided_cyclic;

@@ -1,17 +1,19 @@
-//! The cooperative multi-plan driver: N independent eigen/SVD jobs
-//! interleaved over ONE shared link fabric.
+//! The phase engine: N independent eigen/SVD jobs interleaved over ONE
+//! shared link fabric — and, with N = 1, the solo threaded solvers.
 //!
-//! [`crate::threaded`] walks a single problem's [`CommPlan`] chain; this
-//! module walks *several* chains at once. Each job becomes an explicit
-//! per-node state machine ([`JobNode`]) whose `step` advances exactly one
-//! scheduler micro-op — pair-and-send a transition, consume a received
-//! block, process-and-forward one pipeline packet, drain an epilogue
-//! packet, or cast a convergence vote — and a deterministic interleaving
-//! order ([`BatchOrder`], produced by the `mph-batch` policies) merges the
+//! Every threaded driver in the crate runs here. Each job becomes an
+//! explicit per-node state machine ([`JobNode`]) walking its
+//! [`CommPlan`] chain, whose `step` advances exactly one scheduler
+//! micro-op — pair-and-send a transition, consume a received block,
+//! process-and-forward one pipeline packet, drain an epilogue packet, or
+//! cast a convergence vote — and a deterministic interleaving order
+//! ([`BatchOrder`], produced by the `mph-batch` policies) merges the
 //! jobs' op streams. Every node executes the *same* merged sequence, so
 //! sends and receives pair up exactly as in a solo SPMD program; the
 //! messages carry job tags and each node demultiplexes arrivals through
 //! [`JobMux`], so per-`(link, job)` FIFO order survives any interleaving.
+//! [`block_jacobi_threaded`] and [`svd_block_threaded`] are one-job
+//! batches ([`BatchOrder::Serial`]`([0])`).
 //!
 //! Why interleave at micro-op granularity: the virtual clock charges
 //! start-ups serially on the node CPU but lets transmissions ride the
@@ -25,36 +27,60 @@
 //! multi-port machines it converts bubbles into throughput — the measured
 //! counterpart of `mph_ccpipe::batch_cost`.
 //!
+//! # Degraded fabrics
+//!
+//! On a [`FabricModel::Degraded`] scenario each job reads the fabric
+//! epoch at its sweep start and, for that sweep:
+//!
+//! * relays every transition and vote whose link is **dead** along the
+//!   surviving route ([`mph_hypercube::surviving_route`]) through a fixed
+//!   global script (see [`exchange_via`]), running the sweep whole-block
+//!   (`Q = 1`, tail 1) — packet pipelines assume direct links;
+//! * under [`Adaptation::Reactive`] fits a machine to the node's live
+//!   send window and agrees on it with the peers (max-allreduce of `Ts`,
+//!   then `Tw`, relay-aware) before re-pricing every phase's `Q` through
+//!   the cost model; [`Adaptation::Oracle`] re-prices against the
+//!   scenario's `worst_alive_machine` instead.
+//!
+//! The drivers advance the epoch only where no job is mid-sweep: the
+//! batch walk passes a barrier after any step that leaves every job at a
+//! sweep boundary, and the service loop barriers at the start of every
+//! round. Every job sweep therefore runs inside one epoch — a one-job run
+//! runs sweep `s` at epoch `s` — and link deaths are safe in every driver.
+//! What each job did is reported per job as an [`AdaptiveReport`].
+//!
 //! # Bitwise equality, preserved
 //!
 //! Jobs share no data: interleaving changes *when* a job's ops run, never
 //! *which* ops run or in what per-job order. Each [`JobNode`] performs the
-//! exact pairing sequence of its solo driver — [`block_jacobi_threaded`]
-//! for eigen jobs, [`svd_block`] (via the same phase machine) for SVD jobs
-//! — through the same shared kernel, so every batched job's result is
-//! bitwise identical to its solo run under every policy, port model, and
-//! pipelining degree. This is asserted in the tests below and proptested
-//! across random job mixes in `mph-batch`.
+//! exact pairing sequence of the logical drivers — [`block_jacobi`] for
+//! eigen jobs, [`svd_block`] for SVD jobs — through the same shared
+//! kernel, so every job's result is bitwise identical to its logical run
+//! under every policy, port model, pipelining degree and impairment
+//! (relays change how a payload travels, never what is computed from it).
+//! This is asserted in the tests below and in `crate::threaded`, and
+//! proptested across random job mixes in `mph-batch` and `mph-serve`.
 //!
-//! The module is also where the SVD finally runs on the threaded/pipelined
-//! phase machine: [`svd_block_threaded`] is a single-job batch.
-//!
+//! [`block_jacobi`]: crate::blockjacobi::block_jacobi
 //! [`block_jacobi_threaded`]: crate::threaded::block_jacobi_threaded
 //! [`svd_block`]: crate::svd::svd_block
 
 use crate::kernel::{refresh_block_diag, PairingRule, SweepAccumulator, SweepKernel};
-use crate::options::{EigenResult, JacobiOptions};
+use crate::options::{Adaptation, EigenResult, JacobiOptions, Pipelining};
 use crate::svd::{sigma_and_u_col, SvdResult};
 use crate::threaded::{choose_qs, choose_tail_qs, lower_sweeps_with, packetization_cap};
 use mph_ccpipe::BatchOrder;
-use mph_core::{BlockPartition, CommPlan, OrderingFamily, PhaseKind};
+use mph_core::{BlockPartition, CommPlan, OrderingFamily, PhaseKind, PlanPhase};
+use mph_hypercube::surviving_route;
 use mph_linalg::block::{BufferPool, ColumnBlock};
 use mph_linalg::vecops::dot;
 use mph_linalg::Matrix;
 use mph_runtime::{
-    run_spmd_fabric_jobs_traced, FabricModel, FabricReport, JobMux, Meterable, NodeCtx, Packet,
-    SinkHandle, TraceEvent, TrafficMeter,
+    run_spmd_fabric_jobs_traced, FabricModel, FabricReport, JobMux, Machine, Meterable, Packet,
+    Scenario, SinkHandle, TraceEvent, TrafficMeter,
 };
+use mph_trace::MetricsRegistry;
+use std::ops::Range;
 
 /// What kind of factorization a job asks for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,9 +92,10 @@ pub enum JobKind {
 }
 
 /// One problem of a batch: the matrix, its ordering family, and the solver
-/// options. The per-job [`JacobiOptions::fabric`] field is ignored — the
-/// batch runs on the fabric the *scheduler* was given, which is the whole
-/// point of sharing one.
+/// options. The per-job [`JacobiOptions::fabric`] and
+/// [`JacobiOptions::trace`] fields are ignored — the batch runs on the
+/// fabric and sink the *scheduler* was given, which is the whole point of
+/// sharing one.
 #[derive(Debug, Clone)]
 pub struct JobSpec {
     pub kind: JobKind,
@@ -216,6 +243,34 @@ impl JobSpan {
     }
 }
 
+/// What the adaptive layer did for one job on a degraded fabric — all
+/// zeros on clean fabrics.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct AdaptiveReport {
+    /// Times the job re-priced against a newly agreed machine
+    /// ([`Adaptation::Reactive`]: calibrated from live windows;
+    /// [`Adaptation::Oracle`] prices against the scenario every sweep and
+    /// counts none).
+    pub recalibrations: usize,
+    /// Origin messages routed around dead links, summed over nodes.
+    pub reroutes: u64,
+    /// Origin elements routed around dead links, summed over nodes (relay
+    /// hops re-ship them, but the origin volume is what the dead link
+    /// would have carried).
+    pub rerouted_elems: u64,
+}
+
+impl AdaptiveReport {
+    /// Projects the report into the workspace's shared metric shape.
+    pub fn metrics(&self) -> MetricsRegistry {
+        let mut r = MetricsRegistry::new();
+        r.add("adaptive.recalibrations", self.recalibrations as u64);
+        r.add("adaptive.reroutes", self.reroutes);
+        r.add("adaptive.rerouted_elems", self.rerouted_elems);
+        r
+    }
+}
+
 /// Outcome of a batch run.
 #[derive(Debug)]
 pub struct BatchRun {
@@ -223,12 +278,185 @@ pub struct BatchRun {
     pub results: Vec<JobResult>,
     /// Per-job virtual-clock spans, in job order.
     pub spans: Vec<JobSpan>,
+    /// Per-job adaptive-layer reports, in job order.
+    pub adaptive: Vec<AdaptiveReport>,
     /// The shared meter, with per-job totals
     /// ([`TrafficMeter::job_volume`] and friends).
     pub meter: TrafficMeter,
     /// The fabric report; `fabric.makespan` is the whole batch's measured
     /// virtual makespan.
     pub fabric: FabricReport,
+}
+
+/// One dead undirected edge's relay plan for a sweep: who its endpoints
+/// are and the surviving multi-hop routes replacing the direct exchange,
+/// one per direction. Pure scenario data — every node computes the same
+/// table, so the relay runs as a fixed global script with no negotiation.
+struct RelayEntry {
+    /// Smaller endpoint of the dead edge.
+    u: usize,
+    /// `u ^ 2^dim` — the other endpoint.
+    v: usize,
+    /// Dimension the dead edge crosses.
+    dim: usize,
+    /// Dimension sequence of the surviving route `u -> v`.
+    fwd: Vec<usize>,
+    /// Dimension sequence of the surviving route `v -> u`.
+    rev: Vec<usize>,
+}
+
+/// The relay table of scenario `epoch`: every dead edge with its
+/// surviving routes (empty when nothing is dead).
+fn relay_table(scenario: &Scenario, epoch: usize) -> Vec<RelayEntry> {
+    let dead = scenario.dead_edges(epoch);
+    let route = |a, b| {
+        surviving_route(scenario.d(), a, b, &dead)
+            .expect("scenarios reject disconnecting death schedules")
+    };
+    dead.iter()
+        .map(|&(u, dim)| {
+            let v = u ^ (1 << dim);
+            RelayEntry { u, v, dim, fwd: route(u, v), rev: route(v, u) }
+        })
+        .collect()
+}
+
+/// Receives `job`'s next message across `dim` and advances the node clock
+/// to its arrival — the blocking receive of one job on a shared link.
+fn recv_now(mux: &mut JobMux<'_, '_, BatchMsg>, dim: usize, job: u32) -> BatchMsg {
+    let (msg, stamp) = mux.recv_for(dim, job);
+    mux.ctx().advance_clock_to(stamp);
+    msg
+}
+
+/// The degraded-sweep exchange primitive: delivers `msg` to the partner
+/// across `link` exactly as a send plus a receive would, but when the
+/// direct edge is dead the payload travels the sweep's relay script
+/// instead.
+///
+/// Phase A: every pair whose `link`-edge is alive exchanges directly.
+/// Phase B: each dead `link`-edge's two payloads hop their surviving
+/// routes, one scripted direction at a time; every node walks the same
+/// script (it is pure scenario data) and plays its own part — origin,
+/// relay, destination, or bystander. Sends never block, each receive's
+/// producer appears strictly earlier in the global script order, and the
+/// per-`(dim, job)` streams are FIFO, so the script is deadlock-free and
+/// deterministic. With no dead edges on `link` this *is* the plain
+/// exchange.
+fn exchange_via(
+    mux: &mut JobMux<'_, '_, BatchMsg>,
+    job: u32,
+    link: usize,
+    msg: BatchMsg,
+    relays: &[RelayEntry],
+    report: &mut AdaptiveReport,
+) -> BatchMsg {
+    let ctx = mux.ctx();
+    let n = ctx.id();
+    let key = n.min(ctx.neighbor(link));
+    let mut outgoing = Some(msg);
+    let mut incoming = None;
+    if !relays.iter().any(|r| r.dim == link && r.u == key) {
+        ctx.send(link, outgoing.take().expect("own payload"));
+        incoming = Some(recv_now(mux, link, job));
+    }
+    for r in relays.iter().filter(|r| r.dim == link) {
+        for (src, dst, route) in [(r.u, r.v, &r.fwd), (r.v, r.u, &r.rev)] {
+            let mut cur = src;
+            let mut carried: Option<BatchMsg> = None;
+            for &hop in route {
+                let nxt = cur ^ (1 << hop);
+                if n == cur {
+                    let m = if cur == src {
+                        let m = outgoing.take().expect("one relayed payload per direction");
+                        report.reroutes += 1;
+                        report.rerouted_elems += m.elems();
+                        ctx.trace().emit(n, || TraceEvent::Relay {
+                            dim: r.dim,
+                            elems: m.elems(),
+                            time: ctx.virtual_now(),
+                        });
+                        m
+                    } else {
+                        carried.take().expect("relay hop carries the payload")
+                    };
+                    ctx.send(hop, m);
+                } else if n == nxt {
+                    let got = recv_now(mux, hop, job);
+                    if nxt == dst {
+                        incoming = Some(got);
+                    } else {
+                        carried = Some(got);
+                    }
+                }
+                cur = nxt;
+            }
+        }
+    }
+    incoming.expect("every exchange delivers: scenarios reject disconnecting death schedules")
+}
+
+/// Max-allreduce of one job's scalar that survives dead links: the
+/// classical recursive dimension exchange with every hop going through
+/// [`exchange_via`]. Used for convergence votes and machine agreement;
+/// with an empty relay table it is the plain dimension-exchange
+/// all-reduce.
+fn allreduce_max_via(
+    mux: &mut JobMux<'_, '_, BatchMsg>,
+    job: u32,
+    mut value: f64,
+    relays: &[RelayEntry],
+    report: &mut AdaptiveReport,
+) -> f64 {
+    for dim in 0..mux.ctx().dim() {
+        let msg = BatchMsg::Scalar { job, v: value };
+        value = value.max(expect_scalar(exchange_via(mux, job, dim, msg, relays, report)));
+    }
+    value
+}
+
+/// One job's pre-run schedule, computed once and shared read-only by every
+/// node: the lowered plan chain with its static per-phase packet counts,
+/// each sweep's serial-tail degree, and each sweep's tail runs (see
+/// [`CommPlan::tail_runs`]).
+struct Schedule<'a> {
+    plans: &'a [CommPlan],
+    qs: &'a [Vec<usize>],
+    tail_qs: Vec<usize>,
+    tail_runs: Vec<Vec<Range<usize>>>,
+    q_cap: usize,
+}
+
+impl<'a> Schedule<'a> {
+    fn new(spec: &JobSpec, (plans, qs): &'a (Vec<CommPlan>, Vec<Vec<usize>>), d: usize) -> Self {
+        let q_cap = packetization_cap(spec.a.cols(), d);
+        Schedule {
+            plans,
+            qs,
+            tail_qs: plans
+                .iter()
+                .map(|plan| choose_tail_qs(plan, &spec.opts.tail_pipelining, q_cap))
+                .collect(),
+            tail_runs: plans.iter().map(CommPlan::tail_runs).collect(),
+            q_cap,
+        }
+    }
+}
+
+/// Checks a batch's inputs and builds every job's [`Schedule`].
+fn schedules<'a>(
+    jobs: &[JobSpec],
+    lowered: &'a [(Vec<CommPlan>, Vec<Vec<usize>>)],
+    d: usize,
+) -> Vec<Schedule<'a>> {
+    assert!(!jobs.is_empty(), "an empty batch solves nothing");
+    assert_eq!(jobs.len(), lowered.len(), "one lowered plan chain per job");
+    for (j, spec) in jobs.iter().enumerate() {
+        if spec.kind == JobKind::Eigen {
+            assert_eq!(spec.a.rows(), spec.a.cols(), "eigen job {j} needs a square matrix");
+        }
+    }
+    jobs.iter().zip(lowered).map(|(spec, l)| Schedule::new(spec, l, d)).collect()
 }
 
 /// Where a job's state machine currently stands (see `step`).
@@ -271,14 +499,14 @@ enum Pos {
 
 /// Per-node state machine of one job: the two resident blocks plus the
 /// cursor into its plan chain. `step` advances one micro-op; the merged
-/// schedule across jobs is produced by `run_job_batch`'s order walk.
+/// schedule across jobs is produced by the driver's order walk.
 struct JobNode<'a> {
     job: u32,
     spec: &'a JobSpec,
-    plans: &'a [CommPlan],
-    qs: &'a [Vec<usize>],
+    sched: &'a Schedule<'a>,
+    /// The degraded fabric's scenario, if any.
+    scenario: Option<&'a Scenario>,
     kern: SweepKernel,
-    d: usize,
     node: usize,
     budget: usize,
     forced: bool,
@@ -290,14 +518,18 @@ struct JobNode<'a> {
     rotations: u64,
     converged: bool,
     pos: Pos,
+    /// The current sweep's exchange-phase packet counts and tail degree.
+    qs: Vec<usize>,
+    tail_q: usize,
+    /// The current sweep's relay table (empty unless links are dead).
+    relays: Vec<RelayEntry>,
+    /// The machine a Reactive job currently prices against.
+    machine: Machine,
+    adaptive: AdaptiveReport,
     /// Pipelined-phase scratch: local packets before iteration 0 consumes
     /// them, then the drained finals.
     pipe: Vec<Option<ColumnBlock>>,
     pipe_entry: f64,
-    /// Tail-run schedule: packet degree and the phase-index runs of each
-    /// sweep's plan (see [`CommPlan::tail_runs`]).
-    tail_qs: Vec<usize>,
-    tail_runs: Vec<Vec<std::ops::Range<usize>>>,
     /// Per-packet readiness stamps threaded through a tail run.
     tail_stamps: Vec<f64>,
     /// Packet backing stores, reused across phases and sweeps.
@@ -314,6 +546,7 @@ struct JobNodeOutput {
     converged: bool,
     start: f64,
     finish: f64,
+    adaptive: AdaptiveReport,
     /// Eigen: `(global column, λ, u-column)`.
     eigen_cols: Vec<(usize, f64, Vec<f64>)>,
     /// SVD: `(global column, w-column, v-column)`.
@@ -324,8 +557,8 @@ impl<'a> JobNode<'a> {
     fn new(
         job: u32,
         spec: &'a JobSpec,
-        plans: &'a [CommPlan],
-        qs: &'a [Vec<usize>],
+        sched: &'a Schedule<'a>,
+        scenario: Option<&'a Scenario>,
         d: usize,
         node: usize,
     ) -> Self {
@@ -342,19 +575,12 @@ impl<'a> JobNode<'a> {
             JobKind::Eigen => spec.a.frobenius_norm(),
             JobKind::Svd => 1.0, // SVD convergence is an absolute cosine
         };
-        let q_cap = packetization_cap(n, d);
-        let tail_qs = plans
-            .iter()
-            .map(|plan| choose_tail_qs(plan, &spec.opts.tail_pipelining, q_cap))
-            .collect();
-        let tail_runs = plans.iter().map(CommPlan::tail_runs).collect();
         JobNode {
             job,
             spec,
-            plans,
-            qs,
+            sched,
+            scenario,
             kern: SweepKernel::from_options(spec.rule(), &spec.opts),
-            d,
             node,
             budget: spec.budget(),
             forced: spec.opts.force_sweeps.is_some(),
@@ -366,10 +592,15 @@ impl<'a> JobNode<'a> {
             rotations: 0,
             converged: false,
             pos: if spec.budget() == 0 { Pos::Done } else { Pos::SweepStart },
+            qs: Vec::new(),
+            tail_q: 1,
+            relays: Vec::new(),
+            // Reactive starts from the scenario's clean base — the spec
+            // sheet — and re-fits from live windows.
+            machine: scenario.map_or_else(Machine::paper_figure2, Scenario::base),
+            adaptive: AdaptiveReport::default(),
             pipe: Vec::new(),
             pipe_entry: 0.0,
-            tail_qs,
-            tail_runs,
             tail_stamps: Vec::new(),
             pool: BufferPool::new(),
             started: false,
@@ -382,34 +613,45 @@ impl<'a> JobNode<'a> {
         self.pos == Pos::Done
     }
 
+    /// Whether the job is between sweeps (or finished) — where the fabric
+    /// epoch may advance without splitting one of its sweeps.
+    fn at_boundary(&self) -> bool {
+        matches!(self.pos, Pos::SweepStart | Pos::Done)
+    }
+
+    fn phase(&self, idx: usize) -> &'a PlanPhase {
+        &self.sched.plans[self.sweeps].phases()[idx]
+    }
+
     /// The packet count of exchange phase `idx` of the current sweep
     /// (1 for serial phases).
     fn phase_q(&self, idx: usize) -> usize {
-        let plan = &self.plans[self.sweeps];
-        if !plan.phases()[idx].is_exchange() {
+        let phases = self.sched.plans[self.sweeps].phases();
+        if !phases[idx].is_exchange() {
             return 1;
         }
-        let xq = plan.phases()[..idx].iter().filter(|ph| ph.is_exchange()).count();
-        self.qs[self.sweeps][xq].max(1)
+        let xq = phases[..idx].iter().filter(|ph| ph.is_exchange()).count();
+        self.qs[xq].max(1)
     }
 
     /// The tail run of the current sweep containing phase `idx`, as
     /// `(start, end)` — `None` when the phase is not a single-link
     /// transition or tail pipelining is off for this sweep.
     fn tail_run_at(&self, idx: usize) -> Option<(usize, usize)> {
-        if self.tail_qs[self.sweeps] <= 1 {
+        if self.tail_q <= 1 {
             return None;
         }
-        self.tail_runs[self.sweeps]
+        self.sched.tail_runs[self.sweeps]
             .iter()
             .find(|r| r.start <= idx && idx < r.end)
             .map(|r| (r.start, r.end))
     }
 
-    /// Whether the resident block (slot0) is the one travelling in tail
-    /// phase `idx` — the division slot asymmetry's bit = 1 endpoint.
-    fn tail_resident_out(&self, idx: usize) -> bool {
-        let ph = &self.plans[self.sweeps].phases()[idx];
+    /// Whether the resident block (slot0) is the one travelling in
+    /// single-link phase `idx` — the division slot asymmetry's bit = 1
+    /// endpoint; everywhere else the mobile block (slot1) travels.
+    fn resident_out(&self, idx: usize) -> bool {
+        let ph = self.phase(idx);
         matches!(ph.kind, PhaseKind::Division { .. }) && self.node & (1 << ph.links[0]) != 0
     }
 
@@ -424,30 +666,113 @@ impl<'a> JobNode<'a> {
     }
 
     fn after_phase(&self, idx: usize) -> Pos {
-        if idx + 1 < self.plans[self.sweeps].phases().len() {
+        if idx + 1 < self.sched.plans[self.sweeps].phases().len() {
             self.start_of_phase(idx + 1)
         } else {
             Pos::SweepEnd
         }
     }
 
+    /// Sweep entry on a degraded fabric: reads the epoch's relay table,
+    /// re-fits and agrees on the machine (Reactive, from sweep 1 on), and
+    /// prices this sweep's packet counts. Clean fabrics run the pre-run
+    /// schedule.
+    fn plan_sweep(&mut self, mux: &mut JobMux<'_, '_, BatchMsg>) {
+        let sweep = self.sweeps;
+        let Some(sc) = self.scenario else {
+            self.qs.clone_from(&self.sched.qs[sweep]);
+            self.tail_q = self.sched.tail_qs[sweep];
+            return;
+        };
+        let ctx = mux.ctx();
+        let epoch = ctx.fabric_epoch();
+        self.relays = relay_table(sc, epoch);
+        let adaptation = self.spec.opts.adaptation;
+        if adaptation == Adaptation::Reactive && sweep > 0 {
+            // Fit a machine to the service times the link clock measured
+            // since the last fit, then agree with the peers — max of Ts,
+            // then of Tw — so every node prices against the same
+            // (slowest-observed) machine.
+            let ports = self.machine.ports;
+            let local = Machine::calibrate(&ctx.take_fabric_window())
+                .map(|fit| Machine { ts: fit.ts, tw: fit.tw, ports })
+                .unwrap_or(self.machine);
+            let ts = allreduce_max_via(mux, self.job, local.ts, &self.relays, &mut self.adaptive);
+            let tw = allreduce_max_via(mux, self.job, local.tw, &self.relays, &mut self.adaptive);
+            let agreed = Machine { ts, tw, ports };
+            if agreed != self.machine {
+                self.machine = agreed;
+                self.adaptive.recalibrations += 1;
+                ctx.trace().emit(self.node, || TraceEvent::Recalibrate {
+                    sweep,
+                    ts,
+                    tw,
+                    time: ctx.virtual_now(),
+                });
+            }
+        }
+        let plan = &self.sched.plans[sweep];
+        let pricing = match adaptation {
+            Adaptation::Off => None,
+            Adaptation::Reactive => Some(self.machine),
+            Adaptation::Oracle => Some(sc.worst_alive_machine(epoch)),
+        };
+        (self.qs, self.tail_q) = if !self.relays.is_empty() {
+            // Dead-link sweeps run whole-block: the packet pipelines
+            // assume direct links, and Q never changes bits.
+            (vec![1; plan.exchange_phases().count()], 1)
+        } else if let Some(machine) = pricing {
+            let auto = Pipelining::Auto(machine);
+            (
+                choose_qs(plan, &auto, self.sched.q_cap),
+                choose_tail_qs(plan, &auto, self.sched.q_cap),
+            )
+        } else {
+            (self.sched.qs[sweep].clone(), self.sched.tail_qs[sweep])
+        };
+    }
+
+    /// Stores the block a whole-block transition delivered and moves on.
+    fn land(&mut self, phase: usize, t: usize, block: ColumnBlock) {
+        if self.resident_out(phase) {
+            self.slot0 = block;
+        } else {
+            self.slot1 = block;
+        }
+        let ph = self.phase(phase);
+        self.pos = if ph.is_exchange() && t + 1 < ph.k() {
+            Pos::Send { phase, t: t + 1 }
+        } else {
+            self.after_phase(phase)
+        };
+    }
+
     /// Executes one micro-op. The caller guarantees every node invokes
     /// every job's steps in the same merged order.
-    fn step(&mut self, ctx: &NodeCtx<'_, BatchMsg>, mux: &mut JobMux<'_, '_, BatchMsg>) {
+    fn step(&mut self, mux: &mut JobMux<'_, '_, BatchMsg>) {
+        let ctx = mux.ctx();
         if !self.started {
             self.started = true;
             self.start = ctx.virtual_now();
         }
         match self.pos {
             Pos::SweepStart => {
+                let sweep = self.sweeps;
+                ctx.trace()
+                    .emit(self.node, || TraceEvent::SweepBegin { sweep, time: ctx.virtual_now() });
+                self.plan_sweep(mux);
                 self.acc = SweepAccumulator::default();
                 if self.spec.opts.cache_diagonals {
+                    // Periodic exact refresh of the resident blocks'
+                    // diagonals; the cache then travels with a block.
                     refresh_block_diag(&mut self.slot0, self.kern.rule);
                     refresh_block_diag(&mut self.slot1, self.kern.rule);
                 }
+                // Step 0, paper step (1): intra-block pairings. The step-0
+                // cross pairing is the first transition's compute.
                 self.acc.merge(self.kern.within(&mut self.slot0));
                 self.acc.merge(self.kern.within(&mut self.slot1));
-                if self.plans[self.sweeps].phases().is_empty() {
+                if self.sched.plans[sweep].phases().is_empty() {
                     // d = 0: the whole sweep is step 0's pairings.
                     self.acc.merge(self.kern.across(&mut self.slot0, &mut self.slot1));
                     self.pos = Pos::SweepEnd;
@@ -456,53 +781,32 @@ impl<'a> JobNode<'a> {
                 }
             }
             Pos::Send { phase, t } => {
-                let plan = &self.plans[self.sweeps];
-                let ph = &plan.phases()[phase];
-                let link = ph.links[t];
+                let link = self.phase(phase).links[t];
                 self.acc.merge(self.kern.across(&mut self.slot0, &mut self.slot1));
-                let outgoing = match ph.kind {
-                    PhaseKind::Exchange { .. } | PhaseKind::Last => self.slot1.take(),
-                    PhaseKind::Division { .. } => {
-                        // bit = 0 endpoint sends its mobile, bit = 1 its
-                        // resident — the division's slot asymmetry.
-                        if self.node & (1 << link) == 0 {
-                            self.slot1.take()
-                        } else {
-                            self.slot0.take()
-                        }
-                    }
-                };
-                ctx.send(link, BatchMsg::Block { job: self.job, block: outgoing });
-                self.pos = Pos::Recv { phase, t };
+                // Division: the bit = 0 endpoint sends its mobile block,
+                // the bit = 1 endpoint its resident one.
+                let outgoing =
+                    if self.resident_out(phase) { self.slot0.take() } else { self.slot1.take() };
+                let msg = BatchMsg::Block { job: self.job, block: outgoing };
+                if self.relays.is_empty() {
+                    ctx.send(link, msg);
+                    self.pos = Pos::Recv { phase, t };
+                } else {
+                    // A degraded sweep runs each transition as one
+                    // relay-aware exchange.
+                    let got =
+                        exchange_via(mux, self.job, link, msg, &self.relays, &mut self.adaptive);
+                    self.land(phase, t, expect_block(got));
+                }
             }
             Pos::Recv { phase, t } => {
-                let plan = &self.plans[self.sweeps];
-                let ph = &plan.phases()[phase];
-                let link = ph.links[t];
-                let (msg, stamp) = mux.recv_for(link, self.job);
-                ctx.advance_clock_to(stamp);
-                let block = expect_block(msg);
-                match ph.kind {
-                    PhaseKind::Exchange { .. } | PhaseKind::Last => self.slot1 = block,
-                    PhaseKind::Division { .. } => {
-                        if self.node & (1 << link) == 0 {
-                            self.slot1 = block;
-                        } else {
-                            self.slot0 = block;
-                        }
-                    }
-                }
-                self.pos = if ph.is_exchange() && t + 1 < ph.k() {
-                    Pos::Send { phase, t: t + 1 }
-                } else {
-                    self.after_phase(phase)
-                };
+                let link = self.phase(phase).links[t];
+                let block = expect_block(recv_now(mux, link, self.job));
+                self.land(phase, t, block);
             }
             Pos::Pipe { phase, k, q } => {
-                let plan = &self.plans[self.sweeps];
-                let ph = &plan.phases()[phase];
+                let ph = self.phase(phase);
                 let q_total = self.phase_q(phase);
-                let k_total = ph.k();
                 if k == 0 && q == 0 {
                     // Phase entry: split the mobile block into its packets.
                     self.pipe_entry = ctx.virtual_now();
@@ -514,6 +818,9 @@ impl<'a> JobNode<'a> {
                         .map(Some)
                         .collect();
                 }
+                // Packet q of iteration k departs when *its own* input has
+                // arrived (the fabric stamp), not when the program counter
+                // gets there — the stage s = k + q wavefront.
                 let (mut payload, ready) = if k == 0 {
                     (self.pipe[q].take().expect("local packet consumed twice"), self.pipe_entry)
                 } else {
@@ -534,15 +841,14 @@ impl<'a> JobNode<'a> {
                 );
                 self.pos = if q + 1 < q_total {
                     Pos::Pipe { phase, k, q: q + 1 }
-                } else if k + 1 < k_total {
+                } else if k + 1 < ph.k() {
                     Pos::Pipe { phase, k: k + 1, q: 0 }
                 } else {
                     Pos::Drain { phase, q: 0 }
                 };
             }
             Pos::Drain { phase, q } => {
-                let plan = &self.plans[self.sweeps];
-                let ph = &plan.phases()[phase];
+                let ph = self.phase(phase);
                 let q_total = self.phase_q(phase);
                 let (msg, stamp) = mux.recv_for(ph.links[ph.k() - 1], self.job);
                 let pkt = expect_packet(msg);
@@ -565,11 +871,9 @@ impl<'a> JobNode<'a> {
                 }
             }
             Pos::TailSend { phase, q } => {
-                let plan = &self.plans[self.sweeps];
-                let ph = &plan.phases()[phase];
-                let tq = self.tail_qs[self.sweeps];
-                let link = ph.links[0];
-                let resident_out = self.tail_resident_out(phase);
+                let tq = self.tail_q;
+                let link = self.phase(phase).links[0];
+                let resident_out = self.resident_out(phase);
                 if q == 0 {
                     let (run_start, _) = self.tail_run_at(phase).expect("tail op outside a run");
                     if phase == run_start {
@@ -604,10 +908,8 @@ impl<'a> JobNode<'a> {
                 };
             }
             Pos::TailRecv { phase, q } => {
-                let plan = &self.plans[self.sweeps];
-                let ph = &plan.phases()[phase];
-                let tq = self.tail_qs[self.sweeps];
-                let (msg, stamp) = mux.recv_for(ph.links[0], self.job);
+                let tq = self.tail_q;
+                let (msg, stamp) = mux.recv_for(self.phase(phase).links[0], self.job);
                 let pkt = expect_packet(msg);
                 assert_eq!(
                     (pkt.job, pkt.k, pkt.q),
@@ -625,7 +927,7 @@ impl<'a> JobNode<'a> {
                 let finals: Vec<ColumnBlock> =
                     self.pipe.drain(..).map(|p| p.expect("tail packet lost")).collect();
                 let block = ColumnBlock::from_packets_pooled(finals, &mut self.pool);
-                if self.tail_resident_out(phase) {
+                if self.resident_out(phase) {
                     self.slot0 = block;
                 } else {
                     self.slot1 = block;
@@ -641,31 +943,34 @@ impl<'a> JobNode<'a> {
                 }
             }
             Pos::SweepEnd => {
+                let sweep = self.sweeps;
+                ctx.trace()
+                    .emit(self.node, || TraceEvent::SweepEnd { sweep, time: ctx.virtual_now() });
                 self.rotations += self.acc.rotations;
                 self.sweeps += 1;
                 if !self.forced {
-                    // Dimension-exchange all-reduce of the sweep's largest
-                    // off measure — the same vote the solo driver casts,
-                    // demultiplexed by job tag.
-                    let mut v = self.acc.max_off;
-                    for dim in 0..self.d {
-                        ctx.send(dim, BatchMsg::Scalar { job: self.job, v });
-                        let (msg, stamp) = mux.recv_for(dim, self.job);
-                        ctx.advance_clock_to(stamp);
-                        v = v.max(expect_scalar(msg));
-                    }
+                    // Max-allreduce of the sweep's largest off measure,
+                    // relay-aware, demultiplexed by job tag. The decision
+                    // is global, so every node stops (or goes on) together.
+                    let v = allreduce_max_via(
+                        mux,
+                        self.job,
+                        self.acc.max_off,
+                        &self.relays,
+                        &mut self.adaptive,
+                    );
                     let bar = match self.spec.kind {
                         JobKind::Eigen => self.spec.opts.tol * self.norm_a,
                         JobKind::Svd => self.spec.opts.tol,
                     };
                     if v <= bar {
                         self.converged = true;
-                        self.finish(ctx);
+                        self.finish(ctx.virtual_now());
                         return;
                     }
                 }
                 if self.sweeps >= self.budget {
-                    self.finish(ctx);
+                    self.finish(ctx.virtual_now());
                 } else {
                     self.pos = Pos::SweepStart;
                 }
@@ -674,8 +979,8 @@ impl<'a> JobNode<'a> {
         }
     }
 
-    fn finish(&mut self, ctx: &NodeCtx<'_, BatchMsg>) {
-        self.finish = ctx.virtual_now();
+    fn finish(&mut self, now: f64) {
+        self.finish = now;
         self.pos = Pos::Done;
     }
 
@@ -687,6 +992,7 @@ impl<'a> JobNode<'a> {
             converged: self.converged || self.forced,
             start: self.start,
             finish: self.finish,
+            adaptive: self.adaptive,
             eigen_cols: Vec::new(),
             svd_cols: Vec::new(),
         };
@@ -712,40 +1018,19 @@ impl<'a> JobNode<'a> {
 }
 
 /// Runs `jobs` concurrently on one `d`-cube of threads over one `fabric`,
-/// interleaving their communication per `order`. Returns per-job results
-/// (each bitwise identical to the job's solo threaded run), per-job
-/// virtual-clock spans, the shared per-job-metered traffic meter, and the
-/// fabric report whose makespan is the batch's measured virtual time.
+/// interleaving their communication per `order`. `lowered[j]` is
+/// [`lower_job`]`(&jobs[j], d)` — a scheduler that lowered the plans to
+/// price and order the batch (`mph-batch`) executes exactly those. The
+/// fabric records every job's link/barrier events and the engine's sweep,
+/// relay and recalibration events into `sink`, stamped on the shared
+/// virtual clock; tracing is strictly observational (pass
+/// [`SinkHandle::nop`] to record nothing).
+///
+/// Returns per-job results (each bitwise identical to the job's logical
+/// run), per-job virtual-clock spans and adaptive reports, the shared
+/// per-job-metered traffic meter, and the fabric report whose makespan is
+/// the batch's measured virtual time.
 pub fn run_job_batch(
-    d: usize,
-    jobs: &[JobSpec],
-    fabric: FabricModel,
-    order: &BatchOrder,
-) -> BatchRun {
-    let lowered: Vec<(Vec<CommPlan>, Vec<Vec<usize>>)> =
-        jobs.iter().map(|spec| lower_job(spec, d)).collect();
-    run_job_batch_planned(d, jobs, &lowered, fabric, order)
-}
-
-/// [`run_job_batch`] with the jobs' communication already lowered
-/// (`lowered[j]` = [`lower_job`]`(jobs[j], d)`), so a scheduler that
-/// lowered the plans to price and order the batch (`mph-batch`) does not
-/// lower them a second time to execute it.
-pub fn run_job_batch_planned(
-    d: usize,
-    jobs: &[JobSpec],
-    lowered: &[(Vec<CommPlan>, Vec<Vec<usize>>)],
-    fabric: FabricModel,
-    order: &BatchOrder,
-) -> BatchRun {
-    run_job_batch_planned_traced(d, jobs, lowered, fabric, order, SinkHandle::nop())
-}
-
-/// [`run_job_batch_planned`] with a live trace sink: the fabric records
-/// every job's link/barrier events (tagged with job and packet headers)
-/// into `sink`, stamped on the shared virtual clock. Tracing is strictly
-/// observational — results are bitwise identical to the untraced run.
-pub fn run_job_batch_planned_traced(
     d: usize,
     jobs: &[JobSpec],
     lowered: &[(Vec<CommPlan>, Vec<Vec<usize>>)],
@@ -753,14 +1038,10 @@ pub fn run_job_batch_planned_traced(
     order: &BatchOrder,
     sink: SinkHandle,
 ) -> BatchRun {
-    assert!(!jobs.is_empty(), "an empty batch solves nothing");
-    assert_eq!(jobs.len(), lowered.len(), "one lowered plan chain per job");
+    let schedules = schedules(jobs, lowered, d);
     order.validate(jobs.len());
-    for (j, spec) in jobs.iter().enumerate() {
-        if spec.kind == JobKind::Eigen {
-            assert_eq!(spec.a.rows(), spec.a.cols(), "eigen job {j} needs a square matrix");
-        }
-    }
+    let scenario = fabric.scenario().cloned();
+    let scenario = scenario.as_deref();
 
     let (outputs, meter, fabric_report) = run_spmd_fabric_jobs_traced::<
         BatchMsg,
@@ -769,16 +1050,28 @@ pub fn run_job_batch_planned_traced(
     >(d, fabric, jobs.len(), sink, |ctx| {
         let mut nodes: Vec<JobNode> = jobs
             .iter()
-            .zip(lowered)
+            .zip(&schedules)
             .enumerate()
-            .map(|(j, (spec, (plans, qs)))| JobNode::new(j as u32, spec, plans, qs, d, ctx.id()))
+            .map(|(j, (spec, sched))| JobNode::new(j as u32, spec, sched, scenario, d, ctx.id()))
             .collect();
         let mut mux = JobMux::new(ctx);
+        // The epoch rule: on a scenario fabric, advance the epoch after
+        // any step that leaves every job at a sweep boundary, so no job
+        // sweep ever straddles two epochs.
+        let mut step = |nodes: &mut [JobNode], j: usize| {
+            nodes[j].step(&mut mux);
+            if scenario.is_some()
+                && nodes[j].at_boundary()
+                && nodes.iter().all(JobNode::at_boundary)
+            {
+                ctx.barrier();
+            }
+        };
         match order {
             BatchOrder::Serial(ord) => {
                 for &j in ord {
                     while !nodes[j].done() {
-                        nodes[j].step(ctx, &mut mux);
+                        step(&mut nodes, j);
                     }
                 }
             }
@@ -789,7 +1082,7 @@ pub fn run_job_batch_planned_traced(
                         if nodes[j].done() {
                             break;
                         }
-                        nodes[j].step(ctx, &mut mux);
+                        step(&mut nodes, j);
                         active = true;
                     }
                 }
@@ -803,32 +1096,62 @@ pub fn run_job_batch_planned_traced(
     });
 
     // Assemble per-job global results from the per-node column shares.
-    let mut results = Vec::with_capacity(jobs.len());
-    let mut spans = Vec::with_capacity(jobs.len());
+    let mut run = BatchRun {
+        results: Vec::with_capacity(jobs.len()),
+        spans: Vec::with_capacity(jobs.len()),
+        adaptive: Vec::with_capacity(jobs.len()),
+        meter,
+        fabric: fabric_report,
+    };
     for (j, spec) in jobs.iter().enumerate() {
         let per_node: Vec<&JobNodeOutput> = outputs.iter().map(|o| &o[j]).collect();
-        let (result, span) = assemble_job(spec, &per_node);
-        results.push(result);
-        spans.push(span);
+        let (result, span, adaptive) = assemble_job(spec, &per_node);
+        run.results.push(result);
+        run.spans.push(span);
+        run.adaptive.push(adaptive);
     }
-    BatchRun { results, spans, meter, fabric: fabric_report }
+    run
 }
 
-/// Merges one job's per-node column shares into its global result and
-/// virtual-clock span — the assembly both the batch and the service
-/// drivers perform once their SPMD run returns.
-fn assemble_job(spec: &JobSpec, per_node: &[&JobNodeOutput]) -> (JobResult, JobSpan) {
+/// Runs one job alone on its own fabric and trace sink — the engine
+/// behind the solo threaded drivers.
+pub(crate) fn run_solo(d: usize, spec: JobSpec) -> BatchRun {
+    let lowered = [lower_job(&spec, d)];
+    let (fabric, sink) = (spec.opts.fabric.clone(), spec.opts.trace.clone());
+    run_job_batch(
+        d,
+        std::slice::from_ref(&spec),
+        &lowered,
+        fabric,
+        &BatchOrder::Serial(vec![0]),
+        sink,
+    )
+}
+
+/// Merges one job's per-node column shares into its global result,
+/// virtual-clock span and adaptive report — the assembly both the batch
+/// and the service drivers perform once their SPMD run returns.
+fn assemble_job(
+    spec: &JobSpec,
+    per_node: &[&JobNodeOutput],
+) -> (JobResult, JobSpan, AdaptiveReport) {
     let mut sweeps = 0usize;
     let mut rotations = 0u64;
     let mut converged = true;
     let mut start = f64::INFINITY;
     let mut finish = 0.0f64;
+    let mut adaptive = AdaptiveReport::default();
     for o in per_node {
         sweeps = sweeps.max(o.sweeps);
         rotations += o.rotations;
         converged &= o.converged;
         start = start.min(o.start);
         finish = finish.max(o.finish);
+        // Recalibrations are globally agreed (same count everywhere);
+        // reroute work is per origin and sums.
+        adaptive.recalibrations = adaptive.recalibrations.max(o.adaptive.recalibrations);
+        adaptive.reroutes += o.adaptive.reroutes;
+        adaptive.rerouted_elems += o.adaptive.rerouted_elems;
     }
     let span = JobSpan { start, finish };
     let n = spec.a.cols();
@@ -847,7 +1170,7 @@ fn assemble_job(spec: &JobSpec, per_node: &[&JobNodeOutput]) -> (JobResult, JobS
                 eigenvectors: u,
                 sweeps,
                 rotations,
-                off_history: Vec::new(),
+                off_history: Vec::new(), // not tracked distributively
                 converged,
             })
         }
@@ -869,7 +1192,7 @@ fn assemble_job(spec: &JobSpec, per_node: &[&JobNodeOutput]) -> (JobResult, JobS
             JobResult::Svd(SvdResult { singular_values, u, v, sweeps, rotations, converged })
         }
     };
-    (result, span)
+    (result, span, adaptive)
 }
 
 /// The admission script of an online service run (see
@@ -1022,6 +1345,9 @@ pub struct ServiceRun {
     pub results: Vec<Option<JobResult>>,
     /// Per-job outcomes in job order.
     pub outcomes: Vec<JobOutcome>,
+    /// Per-job adaptive-layer reports in job order (all zeros for
+    /// rejected jobs).
+    pub adaptive: Vec<AdaptiveReport>,
     /// The sweep-boundary time series.
     pub boundaries: Vec<BoundarySample>,
     /// Shared traffic meter with per-job totals (rejected jobs meter 0).
@@ -1077,25 +1403,19 @@ struct NodeService {
 /// Every decision above is a function of barrier-synced time and the
 /// shared `plan`, so all nodes run the same merged op sequence and the
 /// batch driver's pairing guarantees carry over unchanged — including
-/// bitwise equality of every served job with its solo run.
+/// bitwise equality of every served job with its solo run. The round
+/// barrier also advances a degraded fabric's epoch, so every job sweep
+/// runs inside one epoch and link deaths are relayed around.
+///
+/// `lowered[j]` is [`lower_job`]`(&jobs[j], d)`. Besides the fabric's
+/// link/barrier events and the engine's sweep events, `sink` records
+/// every admission decision — [`TraceEvent::Admit`] /
+/// [`TraceEvent::Reject`] at sweep boundaries and [`TraceEvent::Stagger`]
+/// skip assignments. Admission state is barrier-synced and identical on
+/// every node (asserted below), so those events are recorded by node 0
+/// only — one lane is the record, not 2^d copies. Tracing never changes
+/// results.
 pub fn run_job_service(
-    d: usize,
-    jobs: &[JobSpec],
-    lowered: &[(Vec<CommPlan>, Vec<Vec<usize>>)],
-    fabric: FabricModel,
-    plan: &ServicePlan,
-) -> ServiceRun {
-    run_job_service_traced(d, jobs, lowered, fabric, plan, SinkHandle::nop())
-}
-
-/// [`run_job_service`] with a live trace sink: besides the fabric's
-/// link/barrier events, the service records every admission decision —
-/// [`TraceEvent::Admit`] / [`TraceEvent::Reject`] at sweep boundaries and
-/// [`TraceEvent::Stagger`] skip assignments. Admission state is
-/// barrier-synced and identical on every node (asserted below), so those
-/// events are recorded by node 0 only — one lane is the record, not 2^d
-/// copies. Tracing never changes results.
-pub fn run_job_service_traced(
     d: usize,
     jobs: &[JobSpec],
     lowered: &[(Vec<CommPlan>, Vec<Vec<usize>>)],
@@ -1103,16 +1423,12 @@ pub fn run_job_service_traced(
     plan: &ServicePlan,
     sink: SinkHandle,
 ) -> ServiceRun {
-    assert!(!jobs.is_empty(), "an empty service serves nothing");
-    assert_eq!(jobs.len(), lowered.len(), "one lowered plan chain per job");
+    let schedules = schedules(jobs, lowered, d);
     plan.validate(jobs.len());
-    for (j, spec) in jobs.iter().enumerate() {
-        if spec.kind == JobKind::Eigen {
-            assert_eq!(spec.a.rows(), spec.a.cols(), "eigen job {j} needs a square matrix");
-        }
-    }
     let njobs = jobs.len();
-    let throttled = matches!(fabric, FabricModel::Throttled(_));
+    let throttled = fabric.is_throttled();
+    let scenario = fabric.scenario().cloned();
+    let scenario = scenario.as_deref();
 
     let (node_logs, meter, fabric_report) =
         run_spmd_fabric_jobs_traced::<BatchMsg, NodeService, _>(d, fabric, njobs, sink, |ctx| {
@@ -1157,8 +1473,14 @@ pub fn run_job_service_traced(
                             })
                             .expect("non-empty queue");
                         let j = queue.remove(pick);
-                        let (plans, qs) = &lowered[j];
-                        nodes[j] = Some(JobNode::new(j as u32, &jobs[j], plans, qs, d, ctx.id()));
+                        nodes[j] = Some(JobNode::new(
+                            j as u32,
+                            &jobs[j],
+                            &schedules[j],
+                            scenario,
+                            d,
+                            ctx.id(),
+                        ));
                         admitted_at[j] = Some(now);
                         active.push(j);
                         admitted.push(j);
@@ -1246,7 +1568,7 @@ pub fn run_job_service_traced(
                             }
                             let node = nodes[j].as_mut().expect("active job lowered");
                             let before = node.sweeps;
-                            node.step(ctx, &mut mux);
+                            node.step(&mut mux);
                             if node.done() || node.sweeps > before {
                                 crossed[i] = true;
                             }
@@ -1285,6 +1607,7 @@ pub fn run_job_service_traced(
 
     let mut results: Vec<Option<JobResult>> = Vec::with_capacity(njobs);
     let mut outcomes: Vec<JobOutcome> = Vec::with_capacity(njobs);
+    let mut adaptive_reports = vec![AdaptiveReport::default(); njobs];
     for (j, spec) in jobs.iter().enumerate() {
         if let Some(rej) = log0.rejected[j] {
             results.push(None);
@@ -1295,7 +1618,8 @@ pub fn run_job_service_traced(
             .iter()
             .map(|log| log.outputs[j].as_ref().expect("admitted job ran on every node"))
             .collect();
-        let (result, span) = assemble_job(spec, &per_node);
+        let (result, span, adaptive) = assemble_job(spec, &per_node);
+        adaptive_reports[j] = adaptive;
         let admitted = log0.admitted_at[j].expect("a job is admitted or rejected");
         // A zero-budget job never steps, so its span is empty; it
         // finishes the moment it is admitted.
@@ -1307,15 +1631,23 @@ pub fn run_job_service_traced(
         outcomes.push(JobOutcome::Served { arrival, admitted, finish });
     }
     let boundaries = node_logs.into_iter().next().expect("at least one node").boundaries;
-    ServiceRun { results, outcomes, boundaries, meter, fabric: fabric_report }
+    ServiceRun {
+        results,
+        outcomes,
+        adaptive: adaptive_reports,
+        boundaries,
+        meter,
+        fabric: fabric_report,
+    }
 }
 
-/// The block one-sided Jacobi SVD on the threaded/pipelined phase machine:
-/// the same phase walk, packet pipeline, link fabric, and metering as
-/// [`block_jacobi_threaded`](crate::threaded::block_jacobi_threaded), with
-/// the Gram pairing rule — implemented as a single-job batch, which it
-/// literally is. Bitwise identical to the logical [`svd_block`] for a
-/// fixed sweep count (asserted in the tests below).
+/// The block one-sided Jacobi SVD on the threaded/pipelined phase engine:
+/// the same phase walk, packet pipeline, link fabric, relays and metering
+/// as [`block_jacobi_threaded`](crate::threaded::block_jacobi_threaded),
+/// with the Gram pairing rule — a one-job batch on
+/// [`JacobiOptions::fabric`], recording into [`JacobiOptions::trace`].
+/// Bitwise identical to the logical [`svd_block`] for a fixed sweep count
+/// (asserted in the tests below).
 pub fn svd_block_threaded(
     a: &Matrix,
     d: usize,
@@ -1335,8 +1667,7 @@ pub fn svd_block_threaded_fabric(
     family: OrderingFamily,
     opts: &JacobiOptions,
 ) -> (SvdResult, TrafficMeter, FabricReport) {
-    let spec = JobSpec::svd(a.clone(), family, opts.clone());
-    let mut run = run_job_batch(d, &[spec], opts.fabric.clone(), &BatchOrder::Serial(vec![0]));
+    let mut run = run_solo(d, JobSpec::svd(a.clone(), family, opts.clone()));
     match run.results.pop() {
         Some(JobResult::Svd(r)) => (r, run.meter, run.fabric),
         _ => unreachable!("a single SVD job returns a single SVD result"),
@@ -1349,10 +1680,14 @@ mod tests {
     use crate::blockjacobi::block_jacobi;
     use crate::options::Pipelining;
     use crate::svd::svd_block;
-    use crate::threaded::{block_jacobi_threaded, block_jacobi_threaded_fabric};
+    use crate::threaded::block_jacobi_threaded;
     use mph_ccpipe::Machine;
     use mph_linalg::matmul::eigen_residual;
     use mph_linalg::symmetric::random_symmetric;
+
+    fn batch(d: usize, jobs: &[JobSpec], fabric: FabricModel, order: &BatchOrder) -> BatchRun {
+        run_job_batch(d, jobs, &lower_all(jobs, d), fabric, order, SinkHandle::nop())
+    }
 
     fn assert_eigen_bitwise(a: &EigenResult, b: &EigenResult, what: &str) {
         assert_eq!(a.rotations, b.rotations, "{what}: rotations");
@@ -1370,34 +1705,6 @@ mod tests {
             assert_eq!(a.singular_values[c], b.singular_values[c], "{what}: σ_{c}");
             assert_eq!(a.u.col(c), b.u.col(c), "{what}: u_{c}");
             assert_eq!(a.v.col(c), b.v.col(c), "{what}: v_{c}");
-        }
-    }
-
-    #[test]
-    fn single_eigen_job_batch_is_the_solo_threaded_run_bitwise() {
-        let a = random_symmetric(16, 90);
-        for cache in [false, true] {
-            for q in [Pipelining::Off, Pipelining::Fixed(3)] {
-                let opts = JacobiOptions {
-                    force_sweeps: Some(2),
-                    cache_diagonals: cache,
-                    pipelining: q,
-                    ..Default::default()
-                };
-                for d in [1usize, 2] {
-                    for family in [OrderingFamily::Br, OrderingFamily::Degree4] {
-                        let (solo, _) = block_jacobi_threaded(&a, d, family, &opts);
-                        let run = run_job_batch(
-                            d,
-                            &[JobSpec::eigen(a.clone(), family, opts.clone())],
-                            FabricModel::Free,
-                            &BatchOrder::Serial(vec![0]),
-                        );
-                        let got = run.results[0].eigen().expect("eigen job");
-                        assert_eigen_bitwise(got, &solo, &format!("{family} d={d} cache={cache}"));
-                    }
-                }
-            }
         }
     }
 
@@ -1459,7 +1766,7 @@ mod tests {
         {
             for stride in [1usize, 2] {
                 let order = BatchOrder::RoundRobin { order: vec![0, 1], stride };
-                let run = run_job_batch(d, &jobs, fabric.clone(), &order);
+                let run = batch(d, &jobs, fabric.clone(), &order);
                 assert_eigen_bitwise(
                     run.results[0].eigen().expect("eigen"),
                     &solo_e,
@@ -1485,7 +1792,7 @@ mod tests {
             JobSpec::eigen(a1.clone(), OrderingFamily::PermutedBr, opts.clone()),
         ];
         let order = BatchOrder::RoundRobin { order: vec![0, 1], stride: 1 };
-        let run = run_job_batch(d, &jobs, FabricModel::Free, &order);
+        let run = batch(d, &jobs, FabricModel::Free, &order);
         // Each job's metered volume equals its solo run's.
         for (j, (family, a)) in
             [(OrderingFamily::Br, &a0), (OrderingFamily::PermutedBr, &a1)].iter().enumerate()
@@ -1518,13 +1825,9 @@ mod tests {
             JobSpec::eigen(a0, OrderingFamily::Br, opts.clone()),
             JobSpec::eigen(a1, OrderingFamily::Degree4, opts.clone()),
         ];
-        let serial = run_job_batch(d, &jobs, fabric.clone(), &BatchOrder::Serial(vec![0, 1]));
-        let inter = run_job_batch(
-            d,
-            &jobs,
-            fabric,
-            &BatchOrder::RoundRobin { order: vec![0, 1], stride: 1 },
-        );
+        let serial = batch(d, &jobs, fabric.clone(), &BatchOrder::Serial(vec![0, 1]));
+        let inter =
+            batch(d, &jobs, fabric, &BatchOrder::RoundRobin { order: vec![0, 1], stride: 1 });
         assert!(
             inter.fabric.makespan < serial.fabric.makespan,
             "interleaved {} vs serial {}",
@@ -1555,7 +1858,7 @@ mod tests {
             JobSpec::svd(a1.clone(), OrderingFamily::Br, JacobiOptions::default()),
         ];
         let order = BatchOrder::RoundRobin { order: vec![0, 1], stride: 1 };
-        let run = run_job_batch(2, &jobs, FabricModel::Free, &order);
+        let run = batch(2, &jobs, FabricModel::Free, &order);
         let e = run.results[0].eigen().expect("eigen");
         assert!(e.converged);
         assert!(eigen_residual(&a0, &e.eigenvectors, &e.eigenvalues) < 1e-6);
@@ -1575,6 +1878,16 @@ mod tests {
         jobs.iter().map(|s| lower_job(s, d)).collect()
     }
 
+    fn service(
+        d: usize,
+        jobs: &[JobSpec],
+        lowered: &[(Vec<CommPlan>, Vec<Vec<usize>>)],
+        fabric: FabricModel,
+        plan: &ServicePlan,
+    ) -> ServiceRun {
+        run_job_service(d, jobs, lowered, fabric, plan, SinkHandle::nop())
+    }
+
     #[test]
     fn service_of_one_job_is_the_solo_run_bitwise() {
         let a = random_symmetric(16, 61);
@@ -1585,8 +1898,7 @@ mod tests {
         let lowered = lower_all(&jobs, d);
         for fabric in [FabricModel::Free, FabricModel::Throttled(Machine::all_port(1000.0, 100.0))]
         {
-            let run =
-                run_job_service(d, &jobs, &lowered, fabric.clone(), &ServicePlan::fifo(vec![0.0]));
+            let run = service(d, &jobs, &lowered, fabric.clone(), &ServicePlan::fifo(vec![0.0]));
             assert_eq!(run.served(), 1);
             assert_eq!(run.rejected(), 0);
             let got = run.results[0].as_ref().and_then(JobResult::eigen).expect("served");
@@ -1611,17 +1923,11 @@ mod tests {
         let machine = Machine::all_port(1000.0, 100.0);
         let fabric = FabricModel::Throttled(machine);
         // First measure job 0 alone to place job 1's arrival mid-run.
-        let probe = run_job_service(
-            d,
-            &jobs[..1],
-            &lowered[..1],
-            fabric.clone(),
-            &ServicePlan::fifo(vec![0.0]),
-        );
+        let probe =
+            service(d, &jobs[..1], &lowered[..1], fabric.clone(), &ServicePlan::fifo(vec![0.0]));
         let solo_makespan = run_outcome_finish(&probe.outcomes[0]);
         let mid = solo_makespan * 0.4;
-        let run =
-            run_job_service(d, &jobs, &lowered, fabric.clone(), &ServicePlan::fifo(vec![0.0, mid]));
+        let run = service(d, &jobs, &lowered, fabric.clone(), &ServicePlan::fifo(vec![0.0, mid]));
         assert_eq!(run.served(), 2);
         match run.outcomes[1] {
             JobOutcome::Served { arrival, admitted, finish } => {
@@ -1668,7 +1974,7 @@ mod tests {
         let lowered = lower_all(&jobs, d);
         let plan =
             ServicePlan { queue_cap: 1, max_active: 1, ..ServicePlan::fifo(vec![0.0, 0.0, 0.0]) };
-        let run = run_job_service(
+        let run = service(
             d,
             &jobs,
             &lowered,
@@ -1704,7 +2010,7 @@ mod tests {
             priority: vec![10.0, 10.0, 1.0],
             ..ServicePlan::fifo(vec![0.0, 0.0, 0.0])
         };
-        let run = run_job_service(
+        let run = service(
             d,
             &jobs,
             &lowered,
@@ -1728,7 +2034,7 @@ mod tests {
         let jobs = [JobSpec::eigen(random_symmetric(8, 95), OrderingFamily::Br, opts.clone())];
         let lowered = lower_all(&jobs, d);
         let late = 1e6;
-        let run = run_job_service(
+        let run = service(
             d,
             &jobs,
             &lowered,
@@ -1767,8 +2073,8 @@ mod tests {
             ..ServicePlan::fifo(vec![0.0, 10_000.0, 20_000.0, 30_000.0])
         };
         let fabric = FabricModel::Throttled(Machine::all_port(1000.0, 100.0));
-        let a = run_job_service(d, &jobs, &lowered, fabric.clone(), &plan);
-        let b = run_job_service(d, &jobs, &lowered, fabric.clone(), &plan);
+        let a = service(d, &jobs, &lowered, fabric.clone(), &plan);
+        let b = service(d, &jobs, &lowered, fabric.clone(), &plan);
         assert_eq!(a.outcomes, b.outcomes, "virtual-clock outcomes must not depend on scheduling");
         assert_eq!(a.boundaries, b.boundaries);
         assert_eq!(a.fabric.makespan, b.fabric.makespan);
@@ -1785,7 +2091,7 @@ mod tests {
             .collect();
         let lowered = lower_all(&jobs, d);
         let plan = ServicePlan { max_active: 2, ..ServicePlan::fifo(vec![0.0, 5_000.0, 10_000.0]) };
-        let run = run_job_service(d, &jobs, &lowered, FabricModel::Free, &plan);
+        let run = service(d, &jobs, &lowered, FabricModel::Free, &plan);
         assert_eq!(run.served(), 3);
         for o in &run.outcomes {
             assert_eq!(o.latency(), Some(0.0), "a free fabric has no virtual latency");
@@ -1809,14 +2115,9 @@ mod tests {
         let lowered = lower_all(&jobs, d);
         let fabric = FabricModel::Throttled(Machine::all_port(1000.0, 100.0));
         let base = ServicePlan { stagger_key: vec![7, 7], ..ServicePlan::fifo(vec![0.0, 0.0]) };
-        let in_phase = run_job_service(d, &jobs, &lowered, fabric.clone(), &base);
-        let staggered = run_job_service(
-            d,
-            &jobs,
-            &lowered,
-            fabric,
-            &ServicePlan { stagger_slots: 2, ..base.clone() },
-        );
+        let in_phase = service(d, &jobs, &lowered, fabric.clone(), &base);
+        let staggered =
+            service(d, &jobs, &lowered, fabric, &ServicePlan { stagger_slots: 2, ..base.clone() });
         assert!(
             staggered.fabric.makespan < in_phase.fabric.makespan,
             "staggered {} vs in-phase {}",
@@ -1831,37 +2132,6 @@ mod tests {
                 }
                 _ => panic!("both eigen results present"),
             }
-        }
-    }
-
-    #[test]
-    fn throttled_single_job_batch_reproduces_the_solo_makespan() {
-        // A Serial([0]) batch is the solo threaded run: same bits AND the
-        // same measured virtual makespan — with the tail whole-block and
-        // chained alike.
-        let a = random_symmetric(32, 44);
-        let machine = Machine::all_port(500.0, 10.0);
-        for tail in [Pipelining::Off, Pipelining::Fixed(3)] {
-            let opts = JacobiOptions {
-                force_sweeps: Some(2),
-                tail_pipelining: tail,
-                fabric: FabricModel::Throttled(machine),
-                ..Default::default()
-            };
-            let (_, _, solo_report) =
-                block_jacobi_threaded_fabric(&a, 2, OrderingFamily::Br, &opts);
-            let run = run_job_batch(
-                2,
-                &[JobSpec::eigen(a.clone(), OrderingFamily::Br, opts.clone())],
-                FabricModel::Throttled(machine),
-                &BatchOrder::Serial(vec![0]),
-            );
-            assert!(
-                (run.fabric.makespan - solo_report.makespan).abs() <= 1e-9 * solo_report.makespan,
-                "{tail:?}: batch {} vs solo {}",
-                run.fabric.makespan,
-                solo_report.makespan
-            );
         }
     }
 
@@ -1892,7 +2162,7 @@ mod tests {
                     [FabricModel::Free, FabricModel::Throttled(Machine::all_port(1000.0, 100.0))]
                 {
                     let order = BatchOrder::RoundRobin { order: vec![0, 1], stride: 2 };
-                    let run = run_job_batch(d, &jobs, fabric.clone(), &order);
+                    let run = batch(d, &jobs, fabric.clone(), &order);
                     assert_eigen_bitwise(
                         run.results[0].eigen().expect("eigen"),
                         &solo_e,

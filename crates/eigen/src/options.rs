@@ -190,10 +190,12 @@ pub struct EigenResult {
 }
 
 impl EigenResult {
-    /// Eigenvalues sorted ascending (for spectrum comparisons).
+    /// Eigenvalues sorted ascending (for spectrum comparisons). The
+    /// order is IEEE-754 `totalOrder`, so a NaN from a non-finite input
+    /// sorts last instead of panicking.
     pub fn sorted_eigenvalues(&self) -> Vec<f64> {
         let mut v = self.eigenvalues.clone();
-        v.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        v.sort_by(f64::total_cmp);
         v
     }
 }
@@ -245,5 +247,20 @@ mod tests {
             converged: true,
         };
         assert_eq!(r.sorted_eigenvalues(), vec![-1.0, 2.0, 3.0]);
+    }
+
+    #[test]
+    fn sorted_eigenvalues_put_a_nan_last_instead_of_panicking() {
+        let r = EigenResult {
+            eigenvalues: vec![3.0, f64::NAN, -1.0],
+            eigenvectors: Matrix::identity(3),
+            sweeps: 0,
+            rotations: 0,
+            off_history: vec![],
+            converged: false,
+        };
+        let sorted = r.sorted_eigenvalues();
+        assert_eq!(&sorted[..2], &[-1.0, 3.0]);
+        assert!(sorted[2].is_nan());
     }
 }

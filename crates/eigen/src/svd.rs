@@ -41,10 +41,12 @@ pub struct SvdResult {
 }
 
 impl SvdResult {
-    /// Singular values sorted descending (the conventional order).
+    /// Singular values sorted descending (the conventional order), by
+    /// IEEE-754 `totalOrder`: a NaN from a non-finite input sorts first
+    /// instead of panicking.
     pub fn sorted_singular_values(&self) -> Vec<f64> {
         let mut s = self.singular_values.clone();
-        s.sort_by(|a, b| b.partial_cmp(a).unwrap());
+        s.sort_by(|a, b| b.total_cmp(a));
         s
     }
 
@@ -222,6 +224,21 @@ mod tests {
         let r = svd_cyclic(&a, &JacobiOptions::default());
         assert!(r.converged);
         assert_eq!(r.sorted_singular_values(), vec![3.0, 2.0, 1.0]);
+    }
+
+    #[test]
+    fn sorted_singular_values_tolerate_a_nan() {
+        let r = SvdResult {
+            singular_values: vec![1.0, f64::NAN, 2.0],
+            u: Matrix::identity(3),
+            v: Matrix::identity(3),
+            sweeps: 0,
+            rotations: 0,
+            converged: false,
+        };
+        let sorted = r.sorted_singular_values();
+        assert!(sorted[0].is_nan());
+        assert_eq!(&sorted[1..], &[2.0, 1.0]);
     }
 
     #[test]

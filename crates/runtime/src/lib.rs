@@ -38,7 +38,7 @@ pub use fabric::{
 pub use jobmux::JobMux;
 pub use machine::{CalibrationError, FabricStats, Machine, PortModel};
 pub use meter::TrafficMeter;
-pub use packet::{pipelined_phase, pipelined_phase_stamped, Packet, PacketChannel, PhaseStats};
+pub use packet::Packet;
 pub use pipelined::{pipelined_exchange, unpipelined_exchange};
 pub use scenario::{LinkDeath, Scenario, ScenarioError, ScenarioSpec};
 pub use spmd::{

@@ -16,8 +16,8 @@
 //!   `episode_recovery`, pay `episode_severity` while degraded),
 //!
 //! plus an optional **death schedule**: an undirected edge dies at an
-//! epoch and stays dead (sending across it panics in the link clock — an
-//! adaptive driver must route around it instead).
+//! epoch and stays dead (sending across it panics in the link clock — the
+//! drivers route around it instead).
 //!
 //! Everything is precomputed at construction from a `splitmix64` stream
 //! keyed by `(seed, node, dim)`, so a scenario is pure data: replay is bit
@@ -298,8 +298,7 @@ impl Scenario {
         epoch < self.dead_from[u][dim]
     }
 
-    /// Whether any link death is scheduled at all (drivers that cannot
-    /// reroute reject such scenarios up front).
+    /// Whether any link death is scheduled at all.
     pub fn has_deaths(&self) -> bool {
         self.dead_from.iter().any(|dims| dims.iter().any(|&e| e != usize::MAX))
     }

@@ -6,7 +6,7 @@ use mph_batch::{service_plan, AdmissionConfig, Policy, Throughput};
 use mph_ccpipe::{partial_batch_cost, BatchOrder, Machine, PlannedJob};
 use mph_core::CommPlan;
 use mph_eigen::{
-    choose_tail_qs, lower_job, packetization_cap, run_job_service_traced, JobSpec, ServiceRun,
+    choose_tail_qs, lower_job, packetization_cap, run_job_service, JobSpec, ServiceRun,
 };
 use mph_runtime::{FabricModel, SinkHandle};
 use mph_trace::MetricsRegistry;
@@ -154,8 +154,7 @@ pub fn serve(d: usize, scenario: &Scenario, opts: &ServeOptions) -> ServeReport 
         &machine,
         &opts.admission,
     );
-    let run =
-        run_job_service_traced(d, &specs, &lowered, opts.fabric.clone(), &plan, opts.trace.clone());
+    let run = run_job_service(d, &specs, &lowered, opts.fabric.clone(), &plan, opts.trace.clone());
 
     let latencies: Vec<f64> = run.outcomes.iter().filter_map(|o| o.latency()).collect();
     let waits: Vec<f64> = run.outcomes.iter().filter_map(|o| o.queue_wait()).collect();

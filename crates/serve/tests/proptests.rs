@@ -4,7 +4,7 @@
 //! 1. **Bitwise solo**: every *served* job's result is bitwise identical
 //!    to its solo threaded run — mid-flight admission at sweep
 //!    boundaries changes when micro-ops execute, never what any job
-//!    computes.
+//!    computes, and neither do relays around a dead link.
 //! 2. **No starvation**: preemption-free SPF admission finishes every
 //!    admitted job — each served outcome has a finite, non-negative
 //!    latency, and served + rejected partitions the scenario.
@@ -13,9 +13,10 @@ use mph_batch::{AdmissionConfig, Job, Policy};
 use mph_ccpipe::Machine;
 use mph_core::OrderingFamily;
 use mph_eigen::{block_jacobi_threaded, svd_block_threaded, JacobiOptions, JobOutcome, JobResult};
-use mph_runtime::FabricModel;
+use mph_runtime::{FabricModel, LinkDeath, Scenario as FabricScenario, ScenarioSpec};
 use mph_serve::{serve, JobClass, Rejected, ScenarioGen, ServeOptions};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn forced(sweeps: usize) -> JacobiOptions {
     JacobiOptions { force_sweeps: Some(sweeps), ..Default::default() }
@@ -59,6 +60,22 @@ fn solo_matches(job: &Job, d: usize, got: &JobResult) -> bool {
     }
 }
 
+/// A 2-cube scenario in which one seeded edge is dead from epoch 0 or 1
+/// on — the service relays every job's traffic around it.
+fn deadly_fabric(seed: u64) -> FabricModel {
+    let (node, dim, epoch) =
+        ((seed % 4) as usize, (seed / 4 % 2) as usize, (seed / 8 % 2) as usize);
+    let spec = ScenarioSpec {
+        epochs: 3,
+        hetero_spread: 1.0,
+        deaths: vec![LinkDeath { node, dim, epoch }],
+        ..ScenarioSpec::clean(seed, Machine::all_port(1000.0, 100.0))
+    };
+    FabricModel::Degraded(Arc::new(
+        FabricScenario::new(2, spec).expect("a single death keeps a 2-cube connected"),
+    ))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -70,13 +87,20 @@ proptest! {
         sweeps in 1usize..=2,
         burst in any::<bool>(),
         spf in any::<bool>(),
+        deadly in any::<bool>(),
     ) {
         // Interarrival near the solo service time keeps the queue busy
         // without guaranteeing either an empty or a saturated system.
         let gap = if burst { 0.0 } else { 5.0e5 };
+        // A link death needs a 2-cube to route around it.
+        let (d, fabric) = if deadly {
+            (2, deadly_fabric(seed))
+        } else {
+            (d, FabricModel::Throttled(Machine::all_port(1000.0, 100.0)))
+        };
         let scenario = scenario(seed, n, gap, sweeps);
         let opts = ServeOptions {
-            fabric: FabricModel::Throttled(Machine::all_port(1000.0, 100.0)),
+            fabric,
             policy: if spf { Policy::ShortestPlanFirst } else { Policy::Fifo },
             admission: AdmissionConfig { queue_cap: 2, max_active: 2, stagger_slots: 2 },
             ..Default::default()
@@ -101,6 +125,9 @@ proptest! {
                         solo_matches(&scenario.jobs[j], d, got),
                         "job {} diverged from its solo run", j
                     );
+                    // Every round's barrier puts the death in force, and
+                    // every sweep crosses every dimension: all relay.
+                    prop_assert_eq!(report.run.adaptive[j].reroutes > 0, deadly, "job {}", j);
                 }
                 JobOutcome::Rejected(Rejected::QueueFull { queue_depth, .. }) => {
                     // Backpressure is typed and honest about the cap.

@@ -24,8 +24,8 @@ use mph::trace::{chrome_trace_json, validate_chrome_trace, UtilizationMatrix};
 use proptest::prelude::*;
 use std::sync::Arc;
 
-/// A degraded scenario exercising every impairment class the solo
-/// adaptive driver supports, death schedules included (epoch 1 kills an
+/// A degraded scenario exercising every impairment class the adaptive
+/// layer supports, death schedules included (epoch 1 kills an
 /// edge, so relays and per-epoch pricing both appear in the trace).
 fn degraded_fabric(d: usize, seed: u64, with_death: bool) -> FabricModel {
     let spec = ScenarioSpec {
