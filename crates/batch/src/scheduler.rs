@@ -25,7 +25,8 @@ pub struct BatchOptions {
     pub pricing: Machine,
     /// Trace sink the batch run records into (default: the zero-cost nop
     /// sink). When enabled, the fabric stamps every job's link/barrier
-    /// events — tagged with job ids and packet (k, q) headers — on the
+    /// events — tagged with job ids and packet (k, q) headers — and the
+    /// engine every job's sweep, relay and recalibration marks on the
     /// shared virtual clock. Strictly observational: results are bitwise
     /// identical to the untraced run.
     pub trace: SinkHandle,

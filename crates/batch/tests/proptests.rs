@@ -2,8 +2,9 @@
 //! random job mixes (sizes, dimensions, eigen/SVD kinds, diagonal cache
 //! on/off, pipelining degrees) under every scheduling policy and fabric
 //! model — link deaths included — **every job's output is bitwise equal
-//! to its solo run**, and on a uniformly throttled fabric the batch's
-//! virtual makespan never exceeds the sum of the jobs' solo makespans —
+//! to its solo run**, and on a stationary clocked fabric (throttled, or a
+//! scenario whose per-link prices never change) the batch's virtual
+//! makespan never exceeds the sum of the jobs' solo makespans —
 //! interleaving can only fill bubbles, never add work.
 //!
 //! Solo references are the *logical* drivers (`block_jacobi`,
@@ -47,17 +48,35 @@ fn degraded_fabric(d: usize, seed: u64, death: bool) -> FabricModel {
     ))
 }
 
-/// A cube dimension and a fabric for it: free, three throttled machines,
-/// or a degraded scenario with or without a link death (deadly draws run
-/// on a 2-cube).
-fn cube_and_fabric() -> impl Strategy<Value = (usize, FabricModel)> {
-    (1usize..=2, 0usize..=5, 0u64..500).prop_map(|(d, f, seed)| match f {
-        0 => (d, FabricModel::Free),
-        1 => (d, FabricModel::Throttled(Machine::all_port(1000.0, 100.0))),
-        2 => (d, FabricModel::Throttled(Machine::one_port(1000.0, 100.0))),
-        3 => (d, FabricModel::Throttled(Machine { ts: 50.0, tw: 3.0, ports: PortModel::KPort(2) })),
-        4 => (d, degraded_fabric(d, seed, false)),
-        _ => (2, degraded_fabric(2, seed, true)),
+/// A stationary scenario: static per-link heterogeneity only, so every
+/// epoch prices every link the same and the epochs a batch gives its
+/// jobs cannot change their cost.
+fn stationary_fabric(d: usize, seed: u64) -> FabricModel {
+    let spec = ScenarioSpec {
+        epochs: 3,
+        hetero_spread: 2.0,
+        ..ScenarioSpec::clean(seed, Machine::all_port(1000.0, 100.0))
+    };
+    FabricModel::Degraded(Arc::new(Scenario::new(d, spec).expect("death-free scenario")))
+}
+
+/// A cube dimension, a fabric for it, and whether that fabric's prices
+/// are stationary across epochs: free, three throttled machines, a
+/// stationary scenario, or a degraded scenario with or without a link
+/// death (deadly draws run on a 2-cube).
+fn cube_and_fabric() -> impl Strategy<Value = (usize, FabricModel, bool)> {
+    (1usize..=2, 0usize..=6, 0u64..500).prop_map(|(d, f, seed)| match f {
+        0 => (d, FabricModel::Free, true),
+        1 => (d, FabricModel::Throttled(Machine::all_port(1000.0, 100.0)), true),
+        2 => (d, FabricModel::Throttled(Machine::one_port(1000.0, 100.0)), true),
+        3 => (
+            d,
+            FabricModel::Throttled(Machine { ts: 50.0, tw: 3.0, ports: PortModel::KPort(2) }),
+            true,
+        ),
+        4 => (d, stationary_fabric(d, seed), true),
+        5 => (d, degraded_fabric(d, seed, false), false),
+        _ => (2, degraded_fabric(2, seed, true), false),
     })
 }
 
@@ -103,7 +122,7 @@ proptest! {
         qsel in 0usize..=2,
         sweeps in 1usize..=2,
     ) {
-        let (d, fabric) = cube;
+        let (d, fabric, stationary) = cube;
         let pipelining = [Pipelining::Off, Pipelining::Fixed(2), Pipelining::Fixed(5)][qsel];
         let opts = JacobiOptions {
             force_sweeps: Some(sweeps),
@@ -149,11 +168,11 @@ proptest! {
 
         // 3. On the virtual clock, the batch never exceeds the sum of the
         //    solo makespans (each measured on the same fabric). The bound
-        //    needs a stationary fabric: a scenario prices each sweep at
-        //    the epoch it runs in, and a batch runs its later jobs' sweeps
-        //    at later epochs than their solo runs do.
+        //    needs stationary prices: a scenario prices each sweep at the
+        //    epoch it runs in, and a batch runs its later jobs' sweeps at
+        //    later epochs than their solo runs do.
         prop_assert!(!fabric.is_throttled() || report.makespan > 0.0);
-        if matches!(fabric, FabricModel::Throttled(_)) {
+        if fabric.is_throttled() && stationary {
             let solo_sum: f64 = jobs
                 .iter()
                 .map(|job| {
@@ -181,7 +200,7 @@ proptest! {
         cache in any::<bool>(),
         tsel in 0usize..=4,
     ) {
-        let (d, fabric) = cube;
+        let (d, fabric, _) = cube;
         // The batch driver's tail machine (TailSend/TailRecv) pairs each
         // division/last packet before shipping it — the reference pairing
         // re-tiled by packet boundary — so every tail degree (including Q

@@ -703,7 +703,9 @@ impl<'a> JobNode<'a> {
             if agreed != self.machine {
                 self.machine = agreed;
                 self.adaptive.recalibrations += 1;
+                let job = self.job;
                 ctx.trace().emit(self.node, || TraceEvent::Recalibrate {
+                    job,
                     sweep,
                     ts,
                     tw,
@@ -757,9 +759,12 @@ impl<'a> JobNode<'a> {
         }
         match self.pos {
             Pos::SweepStart => {
-                let sweep = self.sweeps;
-                ctx.trace()
-                    .emit(self.node, || TraceEvent::SweepBegin { sweep, time: ctx.virtual_now() });
+                let (job, sweep) = (self.job, self.sweeps);
+                ctx.trace().emit(self.node, || TraceEvent::SweepBegin {
+                    job,
+                    sweep,
+                    time: ctx.virtual_now(),
+                });
                 self.plan_sweep(mux);
                 self.acc = SweepAccumulator::default();
                 if self.spec.opts.cache_diagonals {
@@ -943,9 +948,12 @@ impl<'a> JobNode<'a> {
                 }
             }
             Pos::SweepEnd => {
-                let sweep = self.sweeps;
-                ctx.trace()
-                    .emit(self.node, || TraceEvent::SweepEnd { sweep, time: ctx.virtual_now() });
+                let (job, sweep) = (self.job, self.sweeps);
+                ctx.trace().emit(self.node, || TraceEvent::SweepEnd {
+                    job,
+                    sweep,
+                    time: ctx.virtual_now(),
+                });
                 self.rotations += self.acc.rotations;
                 self.sweeps += 1;
                 if !self.forced {
@@ -1426,7 +1434,7 @@ pub fn run_job_service(
     let schedules = schedules(jobs, lowered, d);
     plan.validate(jobs.len());
     let njobs = jobs.len();
-    let throttled = fabric.is_throttled();
+    let throttled = matches!(fabric, FabricModel::Throttled(_));
     let scenario = fabric.scenario().cloned();
     let scenario = scenario.as_deref();
 

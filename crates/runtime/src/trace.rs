@@ -56,12 +56,14 @@ pub enum TraceEvent {
     /// A barrier passed: the node entered `epoch` at the synchronized
     /// virtual time.
     Barrier { epoch: usize, time: f64 },
-    /// A driver began sweep `sweep` at `time`.
-    SweepBegin { sweep: usize, time: f64 },
-    /// A driver finished sweep `sweep` at `time`.
-    SweepEnd { sweep: usize, time: f64 },
-    /// An adaptive driver adopted a newly agreed machine before `sweep`.
-    Recalibrate { sweep: usize, ts: f64, tw: f64, time: f64 },
+    /// Job `job` began its sweep `sweep` at `time`. Jobs of one batch
+    /// interleave, so their sweeps overlap: only a job's own sweeps nest.
+    SweepBegin { job: u32, sweep: usize, time: f64 },
+    /// Job `job` finished its sweep `sweep` at `time`.
+    SweepEnd { job: u32, sweep: usize, time: f64 },
+    /// Job `job`, running adaptively, adopted a newly agreed machine
+    /// before its sweep `sweep`.
+    Recalibrate { job: u32, sweep: usize, ts: f64, tw: f64, time: f64 },
     /// A message this node originated was relayed around the dead link
     /// across `dim` instead of crossing it directly.
     Relay { dim: usize, elems: u64, time: f64 },

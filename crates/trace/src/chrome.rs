@@ -6,13 +6,17 @@
 //! `chrome://tracing` / Perfetto load directly:
 //!
 //! * one **process per node** (`pid` = node id);
-//! * thread 0 of each process is the **driver track** (sweeps as `B`/`E`
-//!   spans, barriers / recalibrations / admission decisions as
-//!   instants);
+//! * thread 0 of each process is the **driver track** (barriers and
+//!   admission decisions as instants);
 //! * thread `1 + dim` is the **link track** for the port across `dim`:
 //!   every transmission is split into a `port-wait` span (link queueing
 //!   imposed by the port model) and an `xmit` span (wire time), so the
-//!   stall structure is visible at a glance.
+//!   stall structure is visible at a glance;
+//! * thread `1 + D + job` is the **job track** of `job`, with `D` the
+//!   number of link dimensions in the trace: the job's sweeps as `B`/`E`
+//!   spans and its recalibrations as instants. Interleaved jobs' sweeps
+//!   overlap in time, so each job gets its own track and every track's
+//!   spans nest.
 //!
 //! The JSON is hand-assembled with `f64` `Display` formatting (shortest
 //! round-trip), so the same event stream always serializes to the same
@@ -97,6 +101,19 @@ fn opt_kq(kq: Option<(u32, u32)>) -> Vec<(&'static str, String)> {
 /// trace-event JSON document. Deterministic: the same lanes always
 /// produce the same bytes.
 pub fn chrome_trace_json(lanes: &[Vec<TraceEvent>]) -> String {
+    // Job tracks sit past every link track of every node.
+    let job_track0 = 1 + lanes
+        .iter()
+        .flatten()
+        .filter_map(|e| match e {
+            TraceEvent::Send { dim, .. }
+            | TraceEvent::Recv { dim, .. }
+            | TraceEvent::Relay { dim, .. } => Some(dim + 1),
+            _ => None,
+        })
+        .max()
+        .unwrap_or(0);
+    let job_track = |job: &u32| job_track0 + *job as usize;
     let mut events: Vec<String> = Vec::new();
     for (node, lane) in lanes.iter().enumerate() {
         // Name the process and its tracks first, so viewers label the
@@ -121,6 +138,22 @@ pub fn chrome_trace_json(lanes: &[Vec<TraceEvent>]) -> String {
         for dim in dims {
             Ev::new('M', node, 1 + dim, "thread_name")
                 .args(&[("name", format!("\"link dim {dim}\""))])
+                .finish(&mut events);
+        }
+        let mut jobs: Vec<u32> = lane
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::SweepBegin { job, .. }
+                | TraceEvent::SweepEnd { job, .. }
+                | TraceEvent::Recalibrate { job, .. } => Some(*job),
+                _ => None,
+            })
+            .collect();
+        jobs.sort_unstable();
+        jobs.dedup();
+        for job in jobs {
+            Ev::new('M', node, job_track(&job), "thread_name")
+                .args(&[("name", format!("\"job {job}\""))])
                 .finish(&mut events);
         }
 
@@ -184,20 +217,20 @@ pub fn chrome_trace_json(lanes: &[Vec<TraceEvent>]) -> String {
                         .args(&[("epoch", epoch.to_string())])
                         .finish(&mut events);
                 }
-                TraceEvent::SweepBegin { sweep, time } => {
-                    Ev::new('B', node, 0, &format!("sweep {sweep}"))
+                TraceEvent::SweepBegin { job, sweep, time } => {
+                    Ev::new('B', node, job_track(job), &format!("sweep {sweep}"))
                         .cat("driver")
                         .ts(*time)
                         .finish(&mut events);
                 }
-                TraceEvent::SweepEnd { sweep, time } => {
-                    Ev::new('E', node, 0, &format!("sweep {sweep}"))
+                TraceEvent::SweepEnd { job, sweep, time } => {
+                    Ev::new('E', node, job_track(job), &format!("sweep {sweep}"))
                         .cat("driver")
                         .ts(*time)
                         .finish(&mut events);
                 }
-                TraceEvent::Recalibrate { sweep, ts, tw, time } => {
-                    Ev::new('i', node, 0, "recalibrate")
+                TraceEvent::Recalibrate { job, sweep, ts, tw, time } => {
+                    Ev::new('i', node, job_track(job), "recalibrate")
                         .cat("driver")
                         .scope("t")
                         .ts(*time)
@@ -503,12 +536,12 @@ mod tests {
     fn export_round_trips_through_the_validator() {
         let lanes = vec![
             vec![
-                TraceEvent::SweepBegin { sweep: 0, time: 0.0 },
+                TraceEvent::SweepBegin { job: 0, sweep: 0, time: 0.0 },
                 send(0, 2.0, 5.0),
                 TraceEvent::Recv { dim: 0, elems: 8, job: 1, kq: None, control: true, stamp: 5.0 },
                 TraceEvent::Barrier { epoch: 1, time: 6.0 },
-                TraceEvent::SweepEnd { sweep: 0, time: 6.0 },
-                TraceEvent::Recalibrate { sweep: 1, ts: 1.0, tw: 0.25, time: 6.0 },
+                TraceEvent::SweepEnd { job: 0, sweep: 0, time: 6.0 },
+                TraceEvent::Recalibrate { job: 0, sweep: 1, ts: 1.0, tw: 0.25, time: 6.0 },
                 TraceEvent::Relay { dim: 1, elems: 4, time: 6.5 },
                 TraceEvent::Admit { job: 3, time: 7.0, queue_depth: 2 },
                 TraceEvent::Reject { job: 4, time: 7.0, queue_depth: 4 },
@@ -524,6 +557,67 @@ mod tests {
         assert!(json.contains("\"port-wait\""), "queued send shows its wait span");
         assert!(json.contains("\"xmit\""));
         assert!(json.contains("\"link dim 1\""));
+    }
+
+    /// The `(pid, tid, name)` of every `B`/`E` span event in `json`, in
+    /// document order, tagged `true` for a begin.
+    fn span_events(json: &str) -> Vec<(bool, usize, usize, String)> {
+        let field = |ev: &str, key: &str| -> String {
+            let at = ev.find(&format!("\"{key}\":")).expect("field present") + key.len() + 3;
+            let rest = &ev[at..];
+            let end = rest.find([',', '}']).unwrap_or(rest.len());
+            rest[..end].trim_matches('"').to_string()
+        };
+        json.split("{\"ph\":")
+            .skip(1)
+            .filter(|ev| ev.starts_with("\"B\"") || ev.starts_with("\"E\""))
+            .map(|ev| {
+                let pid = field(ev, "pid").parse().expect("pid");
+                let tid = field(ev, "tid").parse().expect("tid");
+                (ev.starts_with("\"B\""), pid, tid, field(ev, "name"))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn interleaved_jobs_get_their_own_well_nested_sweep_tracks() {
+        // Two jobs on one node whose sweeps overlap: job 0's sweep 0
+        // ends while job 1's sweep 0 is still open, then job 0 starts
+        // its sweep 1. On one shared track these pairs would mis-nest.
+        let lanes = vec![
+            vec![
+                TraceEvent::SweepBegin { job: 0, sweep: 0, time: 0.0 },
+                send(1, 1.0, 2.0),
+                TraceEvent::SweepBegin { job: 1, sweep: 0, time: 1.0 },
+                TraceEvent::SweepEnd { job: 0, sweep: 0, time: 3.0 },
+                TraceEvent::SweepBegin { job: 0, sweep: 1, time: 3.0 },
+                TraceEvent::SweepEnd { job: 1, sweep: 0, time: 4.0 },
+                TraceEvent::Recalibrate { job: 1, sweep: 1, ts: 1.0, tw: 0.5, time: 4.0 },
+                TraceEvent::SweepEnd { job: 0, sweep: 1, time: 5.0 },
+            ],
+            vec![],
+        ];
+        let json = chrome_trace_json(&lanes);
+        validate_chrome_trace(&json).expect("well-formed");
+        // Link dims 0..=1 occupy threads 1 and 2, so jobs 0 and 1 take
+        // threads 3 and 4, each named after its job.
+        assert!(json.contains("\"tid\":3,\"name\":\"thread_name\",\"args\":{\"name\":\"job 0\"}"));
+        assert!(json.contains("\"tid\":4,\"name\":\"thread_name\",\"args\":{\"name\":\"job 1\"}"));
+        assert!(json.contains("\"tid\":4,\"name\":\"recalibrate\""));
+
+        let spans = span_events(&json);
+        assert_eq!(spans.len(), 6);
+        let mut open: std::collections::BTreeMap<(usize, usize), Vec<String>> = Default::default();
+        for (begin, pid, tid, name) in spans {
+            let stack = open.entry((pid, tid)).or_default();
+            if begin {
+                stack.push(name);
+            } else {
+                assert_eq!(stack.pop(), Some(name), "E closes the innermost B on its track");
+            }
+        }
+        assert!(open.values().all(Vec::is_empty), "every span closes");
+        assert_eq!(open.keys().map(|&(_, tid)| tid).collect::<Vec<_>>(), vec![3, 4]);
     }
 
     #[test]

@@ -13,7 +13,11 @@
 //!    volume, and each (link, epoch) cell's busy virtual time equals
 //!    its element volume priced at that cell's effective `Tw` — the
 //!    utilization matrix is the meter re-derived from the timeline.
+//! 4. **Interleaved jobs keep their own timelines** — in a batch whose
+//!    jobs interleave, each job's sweep marks open and close in order on
+//!    every node, and the export draws them on one track per job.
 
+use mph::batch::{solve_batch, BatchOptions, Job, Policy};
 use mph::core::OrderingFamily;
 use mph::eigen::{block_jacobi_threaded_adaptive, Adaptation, JacobiOptions, Pipelining};
 use mph::linalg::symmetric::random_symmetric;
@@ -223,5 +227,61 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+#[test]
+fn interleaved_batch_sweeps_open_and_close_per_job() {
+    let d = 2;
+    let opts = JacobiOptions {
+        force_sweeps: Some(2),
+        adaptation: Adaptation::Reactive,
+        ..Default::default()
+    };
+    let jobs: Vec<Job> = (0..3u64)
+        .map(|i| {
+            let a = random_symmetric(16 + 2 * i as usize, 40 + i);
+            Job::Eigen { a, family: OrderingFamily::Br, opts: opts.clone() }
+        })
+        .collect();
+    let ring = Arc::new(RingSink::new(d, 1 << 16));
+    let batch = BatchOptions {
+        fabric: degraded_fabric(d, 7, true),
+        policy: Policy::Interleave { stride: 1 },
+        trace: SinkHandle::new(ring.clone()),
+        ..Default::default()
+    };
+    solve_batch(d, &jobs, &batch);
+    let lanes = ring.drain();
+
+    let mut overlapped = false;
+    for (node, lane) in lanes.iter().enumerate() {
+        // Per job: the sweep it has open, and how many it has closed.
+        let mut open: Vec<Option<usize>> = vec![None; jobs.len()];
+        let mut closed = vec![0usize; jobs.len()];
+        for e in lane {
+            match *e {
+                TraceEvent::SweepBegin { job, sweep, .. } => {
+                    let j = job as usize;
+                    assert_eq!(open[j], None, "node {node} job {j}: sweep {sweep} opens twice");
+                    assert_eq!(sweep, closed[j], "node {node} job {j}: sweeps run in order");
+                    overlapped |= open.iter().any(Option::is_some);
+                    open[j] = Some(sweep);
+                }
+                TraceEvent::SweepEnd { job, sweep, .. } => {
+                    let j = job as usize;
+                    assert_eq!(open[j].take(), Some(sweep), "node {node} job {j}: unmatched end");
+                    closed[j] += 1;
+                }
+                _ => {}
+            }
+        }
+        assert_eq!(closed, vec![2; jobs.len()], "node {node}: every job closes both sweeps");
+    }
+    assert!(overlapped, "an interleaved batch opens one job's sweep inside another's");
+    let json = chrome_trace_json(&lanes);
+    validate_chrome_trace(&json).expect("well-formed export");
+    for j in 0..jobs.len() {
+        assert!(json.contains(&format!("\"name\":\"job {j}\"")), "job {j} has its own track");
     }
 }
